@@ -1,19 +1,27 @@
 // Command waldump inspects a campaign event log written by priced's
 // -wal-dir: it lists records (human or JSON lines), verifies frame
-// integrity, and can replay the whole log into a standard campaign
-// snapshot file — the migration path back from -wal-dir to
-// -campaign-snapshot, and a way to examine post-crash state offline.
+// integrity, and replays the log through the analytics plane — the
+// log→figure pipeline.
 //
-// The log directory is never modified: waldump scans read-only, stopping
-// (and reporting) at a torn tail exactly where priced's recovery would
-// truncate it.
+// The log directory is never modified: waldump reads it while the daemon
+// may still be running, stopping (and reporting) at a torn tail exactly
+// where priced's recovery would truncate it.
+//
+// -stats folds every recorded create/observe/finish into the same
+// aggregator that serves /v1/analytics live and prints the fleet λ̂
+// re-fit, the per-interval arrival profile (the piecewise NHPP rate fit),
+// and the per-cohort summaries as JSON. The fold is deterministic: the same
+// log prints byte-identical output on every run, so recorded production
+// traffic regenerates paper figures reproducibly — a property the CI
+// obs-smoke job asserts by comparing two runs.
 //
 // Examples:
 //
 //	waldump -dir /var/lib/priced/wal                 # human listing
 //	waldump -dir /var/lib/priced/wal -json | jq .    # machine listing
 //	waldump -dir /var/lib/priced/wal -verify         # integrity check (exit 1 on damage)
-//	waldump -dir /var/lib/priced/wal -snapshot s.json  # replay → snapshot file
+//	waldump -dir /var/lib/priced/wal -stats          # λ̂/cohort fold as JSON
+//	waldump -dir wal -stats -figures profile.tsv     # plus the λ̂_t profile as TSV
 //
 // Flags:
 //
@@ -21,50 +29,85 @@
 //	-json              list records as JSON lines instead of the human format
 //	-verify            verify integrity only: print a summary, exit 1 if any
 //	                   segment is corrupt or a torn tail was found
-//	-snapshot string   replay the log through a real solve engine and write
-//	                   the campaign table as a snapshot JSON file ("-" = stdout)
+//	-stats             replay the log through the analytics plane and print
+//	                   the λ̂/cohort fold as JSON
+//	-window int        with -stats: trailing-window length (observed
+//	                   intervals) of the λ̂ re-fit, matching the daemon's
+//	                   -analytics-window (default 256)
+//	-figures string    with -stats: also write the per-interval arrival
+//	                   profile as TSV — interval index, fitted rate, mean
+//	                   arrivals, observe count — ready for gnuplot/pgfplots
+//	                   ("" disables)
+//
+// The modes -json, -verify and -stats are mutually exclusive. Usage errors
+// exit 2; a damaged or unreadable log exits 1.
 package main
 
 import (
-	"context"
+	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 
+	"crowdpricing/internal/analytics"
 	"crowdpricing/internal/campaign"
-	"crowdpricing/internal/engine"
 	"crowdpricing/internal/wal"
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("waldump: ")
-	flag.Usage = func() {
-		o := flag.CommandLine.Output()
-		fmt.Fprintf(o, "usage: waldump -dir DIR [-json] [-verify] [-snapshot FILE]\n\n")
-		fmt.Fprintf(o, "Inspect a campaign event log written by priced -wal-dir.\n\nflags:\n")
-		flag.PrintDefaults()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command behind a testable seam: it parses args, writes
+// results to stdout and diagnostics to stderr, and returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("waldump", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: waldump -dir DIR [-json | -verify | -stats [-window n] [-figures out.tsv]]\n\n")
+		fmt.Fprintf(stderr, "Inspect a campaign event log written by priced -wal-dir.\n\nflags:\n")
+		fs.PrintDefaults()
 	}
-	dir := flag.String("dir", "", "log directory (required)")
-	asJSON := flag.Bool("json", false, "list records as JSON lines")
-	verify := flag.Bool("verify", false, "verify integrity only; exit 1 on corruption or a torn tail")
-	snapOut := flag.String("snapshot", "", `replay the log and write a campaign snapshot JSON here ("-" = stdout)`)
-	flag.Parse()
-	if *dir == "" || flag.NArg() > 0 {
-		flag.Usage()
-		os.Exit(1)
+	dir := fs.String("dir", "", "log directory (required)")
+	asJSON := fs.Bool("json", false, "list records as JSON lines")
+	verify := fs.Bool("verify", false, "verify integrity only; exit 1 on corruption or a torn tail")
+	stats := fs.Bool("stats", false, "replay the log through the analytics plane and print the λ̂/cohort fold as JSON")
+	window := fs.Int("window", analytics.DefaultWindow, "with -stats: trailing-window length (observed intervals) of the λ̂ re-fit")
+	figures := fs.String("figures", "", `with -stats: write the per-interval arrival profile as TSV ("" disables)`)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	modes := 0
+	for _, on := range []bool{*asJSON, *verify, *stats} {
+		if on {
+			modes++
+		}
+	}
+	if *dir == "" || fs.NArg() > 0 || modes > 1 || (!*stats && *figures != "") {
+		fs.Usage()
+		return 2
 	}
 
+	var err error
 	switch {
-	case *snapOut != "":
-		replayToSnapshot(*dir, *snapOut)
+	case *stats:
+		err = printStats(stdout, *dir, *window, *figures)
 	case *verify:
-		verifyLog(*dir)
+		err = verifyLog(stdout, stderr, *dir)
 	default:
-		listRecords(*dir, *asJSON)
+		err = listRecords(stdout, stderr, *dir, *asJSON)
 	}
+	if err != nil {
+		fmt.Fprintf(stderr, "waldump: %v\n", err)
+		return 1
+	}
+	return 0
 }
 
 // jsonRecord is the -json line schema.
@@ -77,8 +120,8 @@ type jsonRecord struct {
 	Body    json.RawMessage `json:"body"`
 }
 
-func listRecords(dir string, asJSON bool) {
-	enc := json.NewEncoder(os.Stdout)
+func listRecords(stdout, stderr io.Writer, dir string, asJSON bool) error {
+	enc := json.NewEncoder(stdout)
 	report, err := wal.Scan(wal.DirFS{}, dir, func(rec wal.Record, pos wal.FramePos) error {
 		name := campaign.WALRecordName(rec.Type)
 		if asJSON {
@@ -98,62 +141,75 @@ func listRecords(dir string, asJSON bool) {
 		if len(body) > maxBody {
 			body, suffix = body[:maxBody], fmt.Sprintf("… (%d bytes)", len(rec.Data))
 		}
-		_, err := fmt.Printf("lsn=%-6d %-8s seg=%d off=%-8d %s%s\n",
+		_, err := fmt.Fprintf(stdout, "lsn=%-6d %-8s seg=%d off=%-8d %s%s\n",
 			rec.LSN, name, pos.Segment, pos.Offset, body, suffix)
 		return err
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	printSummary(report)
+	printSummary(stderr, report)
+	return nil
 }
 
-func verifyLog(dir string) {
+func verifyLog(stdout, stderr io.Writer, dir string) error {
 	report, err := wal.Scan(wal.DirFS{}, dir, nil)
 	if err != nil {
-		log.Fatalf("CORRUPT: %v", err)
+		return fmt.Errorf("CORRUPT: %w", err)
 	}
-	printSummary(report)
-	if report.Torn != nil {
-		log.Printf("TORN TAIL: recovery would truncate %s at offset %d (dropping %d byte(s)): %s",
-			report.Torn.Name, report.Torn.Offset, report.Torn.Bytes, report.Torn.Reason)
-		os.Exit(1)
+	printSummary(stderr, report)
+	if t := report.Torn; t != nil {
+		return fmt.Errorf("TORN TAIL: recovery would truncate %s at offset %d (dropping %d byte(s)): %s",
+			t.Name, t.Offset, t.Bytes, t.Reason)
 	}
-	fmt.Println("ok: every frame intact")
+	fmt.Fprintln(stdout, "ok: every frame intact")
+	return nil
 }
 
-func printSummary(report *wal.ScanReport) {
-	fmt.Fprintf(os.Stderr, "%d record(s) across %d segment(s), max lsn %d\n",
+func printSummary(stderr io.Writer, report *wal.ScanReport) {
+	fmt.Fprintf(stderr, "%d record(s) across %d segment(s), max lsn %d\n",
 		report.Records, len(report.Segments), report.MaxLSN)
 	if report.Torn != nil {
-		fmt.Fprintf(os.Stderr, "torn tail in %s: %d byte(s) past offset %d not replayed\n",
+		fmt.Fprintf(stderr, "torn tail in %s: %d byte(s) past offset %d not replayed\n",
 			report.Torn.Name, report.Torn.Bytes, report.Torn.Offset)
 	}
 }
 
-// replayToSnapshot folds the log into a live campaign table — re-solving
-// every policy through a real engine, exactly as priced's boot replay
-// does — and writes the table in the -campaign-snapshot JSON schema.
-func replayToSnapshot(dir, out string) {
-	eng := engine.New(engine.Options{})
-	defer eng.Close()
-	m := campaign.NewManager(eng, nil, campaign.Options{TTL: -1})
-	defer m.Close()
-	stats, err := m.ReplayWAL(context.Background(), wal.NewReader(nil, dir))
+// printStats folds the log through the analytics plane (campaign.FoldWAL:
+// no solver, read-only, O(records)) and prints the snapshot as indented
+// JSON. encoding/json marshals map keys sorted, so the output is
+// byte-identical across runs over the same log by construction.
+func printStats(stdout io.Writer, dir string, window int, figures string) error {
+	agg := analytics.New(window)
+	if err := campaign.FoldWAL(wal.NewReader(nil, dir), agg); err != nil {
+		return err
+	}
+	snap := agg.Snapshot()
+	out, err := json.MarshalIndent(snap, "", "  ")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	w := os.Stdout
-	if out != "-" {
-		f, err := os.Create(out)
-		if err != nil {
-			log.Fatal(err)
+	if _, err := fmt.Fprintf(stdout, "%s\n", out); err != nil {
+		return err
+	}
+	if figures == "" {
+		return nil
+	}
+	return writeFigures(figures, snap)
+}
+
+// writeFigures renders the λ̂_t profile — the piecewise arrival-rate fit
+// over interval index — as a TSV plotting tools consume directly.
+func writeFigures(path string, snap *analytics.Snapshot) error {
+	var b bytes.Buffer
+	fmt.Fprintln(&b, "# interval\tlambda_hat\tmean_arrivals\tobserves")
+	r := snap.Rate()
+	for i, mean := range snap.IntervalMeans {
+		fitted := 0.0
+		if r != nil {
+			fitted = r.Rate(float64(i) + 0.5)
 		}
-		defer f.Close()
-		w = f
+		fmt.Fprintf(&b, "%d\t%g\t%g\t%d\n", i, fitted, mean, snap.IntervalObserves[i])
 	}
-	if err := m.Snapshot(w); err != nil {
-		log.Fatal(err)
-	}
-	log.Printf("replayed %d record(s): %d campaign(s) written", stats.Records, stats.Campaigns)
+	return os.WriteFile(path, b.Bytes(), 0o666)
 }

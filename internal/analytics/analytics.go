@@ -8,7 +8,7 @@
 //
 // The aggregator implements campaign.EventSink, so the same fold serves
 // three feeds: live traffic (Manager.AttachSink), the recorded history
-// of an event log at attach time, and offline replay in cmd/walstats
+// of an event log at attach time, and offline replay in `waldump -stats`
 // (both via campaign.FoldWAL). The fold is deterministic by
 // construction — plain accumulation in event-stream order, no clocks, no
 // map-order dependence — so replaying a fixed-seed WAL twice yields
@@ -262,7 +262,7 @@ func (a *Aggregator) Snapshot() *Snapshot {
 }
 
 // Snapshot is the wire-facing analytics view served on /v1/analytics and
-// printed by cmd/walstats.
+// printed by `waldump -stats`.
 type Snapshot struct {
 	// LambdaHat is the trailing-window mean arrivals per interval —
 	// the fleet's current rate estimate; WindowObserves is how many

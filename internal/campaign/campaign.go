@@ -18,11 +18,12 @@
 // mutex.
 //
 // A Manager owns the campaign table: create/observe/quote/finish lifecycle,
-// TTL expiry of abandoned campaigns, Prometheus-style counters, and JSON
-// snapshot/restore so a daemon restart does not drop live campaigns (the
-// snapshot stores each campaign's original request plus its dynamic state;
-// restore re-solves through the engine — deterministic, so restored
-// campaigns quote bit-identical prices).
+// TTL expiry of abandoned campaigns, Prometheus-style counters, and an
+// event log (OpenWAL/ReplayWAL/AttachWAL) so a daemon restart does not
+// drop live campaigns (the log and its compaction snapshots store each
+// campaign's original request plus its dynamic state; replay re-solves
+// through the engine — deterministic, so replayed campaigns quote
+// bit-identical prices).
 //
 // Adaptive mode implements the Section 5.2.5 controller from
 // internal/sim/adaptive.go as an online service: the bank of per-factor

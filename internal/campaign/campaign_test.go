@@ -526,10 +526,10 @@ func TestTableFull(t *testing.T) {
 	}
 }
 
-// TestSnapshotRestore is the restart story: snapshot a live table, restore
-// it into a brand-new manager over a brand-new (cold) engine, and require
-// bit-identical quotes — the determinism of the solvers is what makes
-// storing requests instead of policies sound.
+// TestSnapshotRestore is the restart story: snapshot a live table, replay
+// it as a compaction record into a brand-new manager over a brand-new
+// (cold) engine, and require bit-identical quotes — the determinism of the
+// solvers is what makes storing requests instead of policies sound.
 func TestSnapshotRestore(t *testing.T) {
 	a := newTestManager(t, Options{})
 	ctx := context.Background()
@@ -569,8 +569,12 @@ func TestSnapshotRestore(t *testing.T) {
 	}
 
 	b := newTestManager(t, Options{})
-	if err := b.Restore(ctx, bytes.NewReader(buf.Bytes())); err != nil {
+	stats, err := b.ReplayWAL(ctx, snapshotRecord(buf.Bytes()))
+	if err != nil {
 		t.Fatal(err)
+	}
+	if stats.Snapshots != 1 || stats.Campaigns != 3 {
+		t.Fatalf("replay stats %+v, want 1 snapshot record holding 3 campaigns", stats)
 	}
 
 	for _, id := range []string{stStatic.ID, stAdaptive.ID, stMulti.ID} {
@@ -580,24 +584,24 @@ func TestSnapshotRestore(t *testing.T) {
 		}
 		qb, err := b.Quote(id)
 		if err != nil {
-			t.Fatalf("restored campaign %q: %v", id, err)
+			t.Fatalf("replayed campaign %q: %v", id, err)
 		}
 		if len(qa.Prices) != len(qb.Prices) {
 			t.Fatalf("%q: %v vs %v", id, qa.Prices, qb.Prices)
 		}
 		for i := range qa.Prices {
 			if qa.Prices[i] != qb.Prices[i] {
-				t.Fatalf("%q quotes diverged after restore: %v vs %v", id, qa.Prices, qb.Prices)
+				t.Fatalf("%q quotes diverged after replay: %v vs %v", id, qa.Prices, qb.Prices)
 			}
 		}
 		sa, _ := a.State(id)
 		sb, _ := b.State(id)
 		if sa.Interval != sb.Interval || sa.Replans != sb.Replans || sa.ActiveFactor != sb.ActiveFactor {
-			t.Fatalf("%q state diverged after restore: %+v vs %+v", id, sa, sb)
+			t.Fatalf("%q state diverged after replay: %+v vs %+v", id, sa, sb)
 		}
 	}
 
-	// The restored table keeps working: observe + quote still agree across
+	// The replayed table keeps working: observe + quote still agree across
 	// managers when fed the same observation.
 	if _, err := a.Observe(stAdaptive.ID, 70, nil); err != nil {
 		t.Fatal(err)
@@ -608,50 +612,56 @@ func TestSnapshotRestore(t *testing.T) {
 	qa, _ := a.Quote(stAdaptive.ID)
 	qb, _ := b.Quote(stAdaptive.ID)
 	if qa.Price != qb.Price {
-		t.Fatalf("post-restore observe diverged: %d vs %d", qa.Price, qb.Price)
+		t.Fatalf("post-replay observe diverged: %d vs %d", qa.Price, qb.Price)
 	}
 
-	// New creates in the restored manager never collide with restored IDs.
+	// New creates in the replayed manager never collide with replayed IDs.
 	stNew, err := b.Create(ctx, kinds.KindDeadline, sampleRequest(t, kinds.KindDeadline, 99, "small"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, id := range []string{stStatic.ID, stAdaptive.ID, stMulti.ID} {
 		if stNew.ID == id {
-			t.Fatalf("new campaign reused restored ID %q", id)
+			t.Fatalf("new campaign reused replayed ID %q", id)
 		}
 	}
 }
 
-// TestRestoreRejectsBadSnapshots: schema mismatches and corrupted state
-// abort with nothing inserted.
+// TestRestoreRejectsBadSnapshots: a snapshot record with a schema
+// mismatch, non-JSON bytes, a duplicated campaign ID or out-of-range state
+// aborts replay with nothing inserted. The duplicate-ID entries are
+// otherwise valid, so keeping the last of them would insert a campaign.
 func TestRestoreRejectsBadSnapshots(t *testing.T) {
 	m := newTestManager(t, Options{})
 	ctx := context.Background()
-	dupReq := `{"n": 4, "horizon_hours": 2, "intervals": 2, "lambdas": [5,5],
+	req := `{"n": 4, "horizon_hours": 2, "intervals": 2, "lambdas": [5,5],
 		"accept": {"s": 15, "b": -0.39, "m": 2000},
 		"min_price": 1, "max_price": 10, "penalty": 40}`
 	for name, snap := range map[string]string{
 		"wrong schema": `{"schema_version": 99, "campaigns": []}`,
 		"not json":     `{`,
 		"duplicate id": `{"schema_version": 1, "next_seq": 2, "campaigns": [
-			{"id": "c1", "kind": "deadline", "request": ` + dupReq + `,
+			{"id": "c1", "kind": "deadline", "request": ` + req + `,
 			 "remaining": [4], "interval": 0, "observed": []},
-			{"id": "c1", "kind": "deadline", "request": ` + dupReq + `,
+			{"id": "c1", "kind": "deadline", "request": ` + req + `,
 			 "remaining": [4], "interval": 0, "observed": []}]}`,
 		"bad state": `{"schema_version": 1, "next_seq": 1, "campaigns": [
-			{"id": "c1", "kind": "deadline",
-			 "request": {"n": 4, "horizon_hours": 2, "intervals": 2, "lambdas": [5,5],
-			             "accept": {"s": 15, "b": -0.39, "m": 2000},
-			             "min_price": 1, "max_price": 10, "penalty": 40},
+			{"id": "c1", "kind": "deadline", "request": ` + req + `,
 			 "remaining": [99], "interval": 0, "observed": []}]}`,
 	} {
-		if err := m.Restore(ctx, bytes.NewReader([]byte(snap))); err == nil {
-			t.Errorf("%s: restore succeeded", name)
+		if _, err := m.ReplayWAL(ctx, snapshotRecord(snap)); err == nil {
+			t.Errorf("%s: replay succeeded", name)
 		}
-	}
-	if got := m.Metrics(); got.Active != 0 {
-		t.Fatalf("failed restores left %d campaigns", got.Active)
+		if got := m.Metrics(); got.Active != 0 {
+			t.Fatalf("%s: failed replay left %d campaigns", name, got.Active)
+		}
+		// The offline fold decodes snapshot records the same way; it runs
+		// no solver, so out-of-range state is replay's check alone.
+		if name != "bad state" {
+			if err := FoldWAL(snapshotRecord(snap), newCountingSink()); err == nil {
+				t.Errorf("%s: fold succeeded", name)
+			}
+		}
 	}
 }
 

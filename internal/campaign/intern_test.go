@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"sync"
@@ -179,54 +178,11 @@ func driftObserve(t *testing.T, m *Manager, id string, req json.RawMessage, inte
 	}
 }
 
-// TestRestoreLandsOnInternedTables: campaigns rebuilt from a snapshot must
-// dedup onto interned tables exactly like live creates — K identical
-// adaptive campaigns restore to one bank — and quote bit-identical prices.
-func TestRestoreLandsOnInternedTables(t *testing.T) {
-	m, eng := newInternManager(t, Options{})
-	req := sampleRequest(t, kinds.KindDeadline, 9, "small")
-	adaptive := &AdaptiveOptions{WindowIntervals: 2}
-
-	const k = 3
-	ids := make([]string, k)
-	for i := range ids {
-		st, err := m.Create(context.Background(), kinds.KindDeadline, req, adaptive)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids[i] = st.ID
-	}
-	driftObserve(t, m, ids[0], req, 3)
-	before := quoteAll(t, m, ids)
-
-	var snap bytes.Buffer
-	if err := m.Snapshot(&snap); err != nil {
-		t.Fatal(err)
-	}
-
-	// Restore into a fresh manager over the same engine (the usual restart:
-	// warm artifact cache, empty campaign table).
-	m2 := NewManager(eng, nil, Options{now: m.opts.now})
-	t.Cleanup(m2.Close)
-	if err := m2.Restore(context.Background(), &snap); err != nil {
-		t.Fatal(err)
-	}
-	after := quoteAll(t, m2, ids)
-	for i := range before {
-		if before[i].Price != after[i].Price || before[i].Interval != after[i].Interval {
-			t.Errorf("campaign %s: quote (%d @ %d) before restore, (%d @ %d) after",
-				ids[i], before[i].Price, before[i].Interval, after[i].Price, after[i].Interval)
-		}
-	}
-	if is := m2.intern.stats(); is.interned != int64(len(defaultFactors())) {
-		t.Errorf("restored table interned %d quoters for %d identical banks, want %d",
-			is.interned, k, len(defaultFactors()))
-	}
-}
-
-// TestWALReplayLandsOnInternedTables: the same sharing property through the
-// event-log path — replayed campaigns intern their tables and quote
-// bit-identically.
+// TestWALReplayLandsOnInternedTables: campaigns rebuilt from the event log
+// must dedup onto interned tables exactly like live creates — K identical
+// adaptive campaigns replay to one bank, whether a campaign's base is a
+// compaction snapshot entry or its create event — and quote bit-identical
+// prices.
 func TestWALReplayLandsOnInternedTables(t *testing.T) {
 	m, eng := newInternManager(t, Options{})
 	mem := wal.NewMemFS()
@@ -241,6 +197,13 @@ func TestWALReplayLandsOnInternedTables(t *testing.T) {
 	const k = 3
 	ids := make([]string, k)
 	for i := range ids {
+		if i == k-1 {
+			// The earlier campaigns replay from a snapshot entry, the last
+			// from its create event.
+			if err := wlog.Compact(); err != nil {
+				t.Fatal(err)
+			}
+		}
 		st, err := m.Create(context.Background(), kinds.KindDeadline, req, adaptive)
 		if err != nil {
 			t.Fatal(err)
@@ -264,8 +227,9 @@ func TestWALReplayLandsOnInternedTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Campaigns != k {
-		t.Fatalf("replayed %d campaigns, want %d", stats.Campaigns, k)
+	if stats.Campaigns != k || stats.Snapshots != 1 {
+		t.Fatalf("replayed %d campaigns across %d snapshot records, want %d across 1",
+			stats.Campaigns, stats.Snapshots, k)
 	}
 	after := quoteAll(t, m2, ids)
 	for i := range before {

@@ -7,13 +7,16 @@ import (
 	"io"
 	"sort"
 	"time"
+
+	"crowdpricing/internal/wal"
 )
 
-// SnapshotSchemaVersion identifies the snapshot layout; Restore refuses
-// mismatched files rather than guessing at field semantics.
+// SnapshotSchemaVersion identifies the snapshot layout; replay refuses
+// mismatched records rather than guessing at field semantics.
 const SnapshotSchemaVersion = 1
 
-// snapshotFile is the on-disk form of the whole campaign table.
+// snapshotFile is the payload of a WAL compaction record: the whole
+// campaign table.
 type snapshotFile struct {
 	SchemaVersion int                `json:"schema_version"`
 	TakenAt       string             `json:"taken_at,omitempty"`
@@ -21,9 +24,31 @@ type snapshotFile struct {
 	Campaigns     []campaignSnapshot `json:"campaigns"`
 }
 
+// decodeSnapshotRecord parses a WALRecordSnapshot payload: JSON in the
+// Snapshot schema, at this binary's schema version, naming each campaign
+// ID once. ReplayWAL and FoldWAL share it, so both refuse the same records.
+func decodeSnapshotRecord(rec wal.Record) (*snapshotFile, error) {
+	var file snapshotFile
+	if err := json.Unmarshal(rec.Data, &file); err != nil {
+		return nil, fmt.Errorf("campaign: bad snapshot record (lsn %d): %w", rec.LSN, err)
+	}
+	if file.SchemaVersion != SnapshotSchemaVersion {
+		return nil, fmt.Errorf("campaign: snapshot record schema version %d, this binary expects %d",
+			file.SchemaVersion, SnapshotSchemaVersion)
+	}
+	seen := make(map[string]bool, len(file.Campaigns))
+	for _, cs := range file.Campaigns {
+		if seen[cs.ID] {
+			return nil, fmt.Errorf("campaign: snapshot record (lsn %d) contains ID %q twice", rec.LSN, cs.ID)
+		}
+		seen[cs.ID] = true
+	}
+	return &file, nil
+}
+
 // campaignSnapshot stores one campaign as (original request, dynamic
-// state). Policies are deliberately NOT stored: restore re-solves the
-// request through the engine, which is deterministic — the restored
+// state). Policies are deliberately NOT stored: replay re-solves the
+// request through the engine, which is deterministic — the replayed
 // campaign quotes bit-identical prices — and keeps snapshots small (a
 // paper-scale policy table is ~250 KB; its request is ~1 KB).
 type campaignSnapshot struct {
@@ -46,14 +71,14 @@ type campaignSnapshot struct {
 	Replans         int64     `json:"replans"`
 	CreatedUnixNano int64     `json:"created_unix_nano"`
 	TouchedUnixNano int64     `json:"last_touched_unix_nano"`
-	// LastLSN is the event-log high-water mark folded into this entry
-	// (WAL compaction snapshots only; omitted from legacy file snapshots).
+	// LastLSN is the event-log high-water mark folded into this entry;
 	// ReplayWAL skips events at or below it.
 	LastLSN uint64 `json:"last_lsn,omitempty"`
 }
 
 // Snapshot writes the live-campaign table as JSON: each campaign's original
-// request plus its dynamic state. Safe to call while campaigns are being
+// request plus its dynamic state. It is the payload of the WAL's compaction
+// record (see OpenWAL). Safe to call while campaigns are being
 // observed and quoted — each campaign is serialized under its own lock.
 func (m *Manager) Snapshot(w io.Writer) error {
 	m.mu.RLock()
@@ -64,7 +89,7 @@ func (m *Manager) Snapshot(w io.Writer) error {
 	seq := m.seq.Load()
 	m.mu.RUnlock()
 	// The campaign table is a map; sort by ID so identical state snapshots
-	// to identical bytes (the files are diffed and fingerprinted).
+	// to identical bytes (the records are diffed and fingerprinted).
 	sort.Slice(live, func(i, j int) bool { return live[i].id < live[j].id })
 
 	file := snapshotFile{
@@ -105,116 +130,25 @@ func (m *Manager) Snapshot(w io.Writer) error {
 	return enc.Encode(file)
 }
 
-// Restore rebuilds campaigns from a Snapshot: every policy (and adaptive
-// bank) is re-solved through the engine — identical requests dedup onto one
-// solve and the engine cache makes repeats cheap — then the dynamic state
-// is replayed on top. Restore is all-or-nothing: any unsolvable or
-// malformed entry aborts with no campaigns inserted, so a daemon never
-// boots with half a table. Campaign IDs are preserved; the ID sequence
-// resumes past the snapshot's so new campaigns never collide.
-func (m *Manager) Restore(ctx context.Context, r io.Reader) error {
-	var file snapshotFile
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&file); err != nil {
-		return fmt.Errorf("campaign: bad snapshot: %w", err)
-	}
-	if file.SchemaVersion != SnapshotSchemaVersion {
-		return fmt.Errorf("campaign: snapshot schema version %d, this binary expects %d",
-			file.SchemaVersion, SnapshotSchemaVersion)
-	}
-
-	now := m.opts.now()
-	restored := make([]*campaign, 0, len(file.Campaigns))
-	// All-or-nothing: an abort after some campaigns were rebuilt must return
-	// their intern references, or the abandoned banks would pin decoded
-	// tables forever.
-	committed := false
-	defer func() {
-		if !committed {
-			for _, c := range restored {
-				m.releaseCampaign(c)
-			}
-		}
-	}()
-	seen := make(map[string]bool, len(file.Campaigns))
-	for _, cs := range file.Campaigns {
-		if seen[cs.ID] {
-			return fmt.Errorf("campaign: snapshot contains ID %q twice", cs.ID)
-		}
-		seen[cs.ID] = true
-		c, err := m.rebuild(ctx, cs, now)
-		if err != nil {
-			return fmt.Errorf("campaign: restoring %q: %w", cs.ID, err)
-		}
-		restored = append(restored, c)
-	}
-
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(m.campaigns)+len(restored) > m.opts.MaxCampaigns {
-		return fmt.Errorf("%w: %d restored + %d live exceeds the %d-campaign limit",
-			ErrTableFull, len(restored), len(m.campaigns), m.opts.MaxCampaigns)
-	}
-	for _, c := range restored {
-		if _, dup := m.campaigns[c.id]; dup {
-			return fmt.Errorf("campaign: snapshot ID %q collides with a live campaign", c.id)
-		}
-	}
-	for _, c := range restored {
-		m.campaigns[c.id] = c
-	}
-	// Resume the ID sequence past the snapshot's high-water mark so new
-	// campaigns never reuse a restored ID.
-	for cur := m.seq.Load(); cur < file.NextSeq; cur = m.seq.Load() {
-		if m.seq.CompareAndSwap(cur, file.NextSeq) {
-			break
-		}
-	}
-	m.created.Add(int64(len(restored)))
-	committed = true
-	return nil
-}
-
 // rebuild re-solves one snapshot entry and replays its dynamic state.
 func (m *Manager) rebuild(ctx context.Context, cs campaignSnapshot, now time.Time) (*campaign, error) {
 	if cs.ID == "" {
 		return nil, fmt.Errorf("missing id")
 	}
-	spec, err := m.decodeSpec(cs.Kind, cs.Request)
+	c, _, err := m.newCampaign(ctx, cs.Kind, cs.Request, cs.Adaptive)
 	if err != nil {
 		return nil, err
 	}
-	h, _, err := m.acquireQuoter(ctx, cs.Kind, spec)
-	if err != nil {
-		return nil, err
-	}
-	c := &campaign{
-		id:          cs.ID,
-		kind:        cs.Kind,
-		request:     append([]byte(nil), cs.Request...),
-		fingerprint: h.key,
-		bank:        []*internedQuoter{h},
-		remaining:   h.InitialCounts(),
-		quoteBuf:    make([]int, 0, h.Types()),
-		factor:      1,
-	}
+	c.id = cs.ID
 	ok := false
 	defer func() {
 		if !ok {
 			m.releaseCampaign(c)
 		}
 	}()
-	if cs.Adaptive != nil {
-		if err := m.buildBank(ctx, c, spec, cs.Adaptive); err != nil {
-			return nil, err
-		}
-		// The bank's slots hold their own references now; the base handle's
-		// goes back (a factor-1.0 slot deduped onto the same entry).
-		m.intern.release(h)
-	}
 
 	// Replay the dynamic state, validating shape against the fresh policy
-	// rather than trusting the file.
+	// rather than trusting the record.
 	if len(cs.Remaining) != len(c.remaining) {
 		return nil, fmt.Errorf("%d remaining counts for %d task types", len(cs.Remaining), len(c.remaining))
 	}
@@ -247,7 +181,7 @@ func (m *Manager) rebuild(ctx context.Context, cs campaignSnapshot, now time.Tim
 	c.replans = cs.Replans
 	c.lastLSN = cs.LastLSN
 	c.created = time.Unix(0, cs.CreatedUnixNano)
-	// The restored campaign is touched now: surviving a restart should not
+	// The replayed campaign is touched now: surviving a restart should not
 	// count as idleness against the TTL.
 	c.lastTouched = now
 	ok = true

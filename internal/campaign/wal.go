@@ -131,7 +131,7 @@ type WALReplayStats struct {
 	// many of them were compaction snapshots.
 	Records   int64
 	Snapshots int64
-	// Campaigns is the number of live campaigns restored; Removed counts
+	// Campaigns is the number of live campaigns replayed; Removed counts
 	// campaigns that appeared in the log but were finished or expired
 	// before its end.
 	Campaigns int
@@ -156,8 +156,11 @@ type walFold struct {
 // are skipped — the rule that makes compaction's physical reordering
 // (snapshot record ahead of buffered older events) harmless.
 //
-// Like Restore, ReplayWAL is all-or-nothing and resumes the ID sequence
-// past every replayed campaign.
+// ReplayWAL is all-or-nothing: a malformed record (a snapshot record with
+// a bad schema or a duplicated ID included) or an unsolvable or
+// out-of-range entry aborts with no campaigns inserted, so a daemon never
+// boots with half a table. It resumes the ID sequence past every replayed
+// campaign, so new campaigns never collide with replayed ones.
 func (m *Manager) ReplayWAL(ctx context.Context, src WALSource) (*WALReplayStats, error) {
 	stats := &WALReplayStats{}
 	folds := make(map[string]*walFold)
@@ -209,13 +212,9 @@ func (m *Manager) ReplayWAL(ctx context.Context, src WALSource) (*WALReplayStats
 			delete(folds, ev.ID)
 			removed[ev.ID] = true
 		case WALRecordSnapshot:
-			var file snapshotFile
-			if err := json.Unmarshal(rec.Data, &file); err != nil {
-				return fmt.Errorf("campaign: bad snapshot record (lsn %d): %w", rec.LSN, err)
-			}
-			if file.SchemaVersion != SnapshotSchemaVersion {
-				return fmt.Errorf("campaign: snapshot record schema version %d, this binary expects %d",
-					file.SchemaVersion, SnapshotSchemaVersion)
+			file, err := decodeSnapshotRecord(rec)
+			if err != nil {
+				return err
 			}
 			stats.Snapshots++
 			// A snapshot record supersedes everything before it.
@@ -245,8 +244,8 @@ func (m *Manager) ReplayWAL(ctx context.Context, src WALSource) (*WALReplayStats
 
 	now := m.opts.now()
 	rebuilt := make([]*campaign, 0, len(ids))
-	// Like Restore: an abort after some campaigns were rebuilt must return
-	// their intern references.
+	// An abort after some campaigns were rebuilt must return their intern
+	// references, or the abandoned banks would pin decoded tables forever.
 	committed := false
 	defer func() {
 		if !committed {
@@ -311,7 +310,7 @@ func (m *Manager) ReplayWAL(ctx context.Context, src WALSource) (*WALReplayStats
 // FoldWAL streams src's records into sink as lifecycle events — the
 // offline twin of the live AttachSink stream, so an analytics aggregator
 // folds a recorded event log and live traffic through one code path and
-// cmd/walstats regenerates rate fits from recorded traffic. Unlike
+// `waldump -stats` regenerates rate fits from recorded traffic. Unlike
 // ReplayWAL it runs no solver: the fold is pure bookkeeping, so it works
 // read-only (wal.NewReader) and in O(records).
 //
@@ -368,13 +367,9 @@ func FoldWAL(src WALSource, sink EventSink) error {
 				sink.CampaignExpired(lc.kind, lc.adaptive)
 			}
 		case WALRecordSnapshot:
-			var file snapshotFile
-			if err := json.Unmarshal(rec.Data, &file); err != nil {
-				return fmt.Errorf("campaign: bad snapshot record (lsn %d): %w", rec.LSN, err)
-			}
-			if file.SchemaVersion != SnapshotSchemaVersion {
-				return fmt.Errorf("campaign: snapshot record schema version %d, this binary expects %d",
-					file.SchemaVersion, SnapshotSchemaVersion)
+			file, err := decodeSnapshotRecord(rec)
+			if err != nil {
+				return err
 			}
 			inSnapshot := make(map[string]bool, len(file.Campaigns))
 			for i := range file.Campaigns {
@@ -428,33 +423,11 @@ func FoldWAL(src WALSource, sink EventSink) error {
 // the engine, then start from the initial counts. Observe events are
 // applied on top by ReplayWAL.
 func (m *Manager) rebuildFromEvent(ctx context.Context, ev *walCreateEvent, now time.Time) (*campaign, error) {
-	spec, err := m.decodeSpec(ev.Kind, ev.Request)
+	c, _, err := m.newCampaign(ctx, ev.Kind, ev.Request, ev.Adaptive)
 	if err != nil {
 		return nil, err
 	}
-	h, _, err := m.acquireQuoter(ctx, ev.Kind, spec)
-	if err != nil {
-		return nil, err
-	}
-	c := &campaign{
-		id:          ev.ID,
-		kind:        ev.Kind,
-		request:     append([]byte(nil), ev.Request...),
-		fingerprint: h.key,
-		bank:        []*internedQuoter{h},
-		remaining:   h.InitialCounts(),
-		quoteBuf:    make([]int, 0, h.Types()),
-		factor:      1,
-	}
-	if ev.Adaptive != nil {
-		if err := m.buildBank(ctx, c, spec, ev.Adaptive); err != nil {
-			m.releaseCampaign(c)
-			return nil, err
-		}
-		// The bank's slots hold their own references now; the base handle's
-		// goes back (a factor-1.0 slot deduped onto the same entry).
-		m.intern.release(h)
-	}
+	c.id = ev.ID
 	c.created = time.Unix(0, ev.CreatedUnixNano)
 	c.lastTouched = now
 	return c, nil

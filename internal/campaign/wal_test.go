@@ -293,10 +293,19 @@ func TestCrashRecoveryEveryByte(t *testing.T) {
 	}
 }
 
-// TestSnapshotWALEquivalence restores the same history twice — once
-// through the legacy JSON snapshot, once through WAL replay across a
+// snapshotRecord is a one-record WALSource: a compaction snapshot record
+// carrying a Manager.Snapshot payload, the way a freshly compacted log
+// opens.
+type snapshotRecord []byte
+
+func (p snapshotRecord) Replay(fn func(wal.Record) error) error {
+	return fn(wal.Record{LSN: 1, Type: WALRecordSnapshot, Data: p})
+}
+
+// TestSnapshotWALEquivalence replays the same history twice — once from a
+// snapshot of the final table alone, once from the full log across a
 // compaction boundary — and requires all three managers (original, both
-// restores) to quote bit-identical price sequences.
+// replays) to quote bit-identical price sequences.
 func TestSnapshotWALEquivalence(t *testing.T) {
 	eng := engine.New(engine.Options{Workers: 2})
 	t.Cleanup(eng.Close)
@@ -330,14 +339,15 @@ func TestSnapshotWALEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Path 1: legacy JSON snapshot → Restore.
+	// Path 1: a snapshot of the final table, replayed as the log's only
+	// record.
 	var snap bytes.Buffer
 	if err := w.Snapshot(&snap); err != nil {
 		t.Fatal(err)
 	}
 	viaSnapshot := newWALManager(t, eng, Options{})
-	if err := viaSnapshot.Restore(ctx, bytes.NewReader(snap.Bytes())); err != nil {
-		t.Fatalf("restore: %v", err)
+	if _, err := viaSnapshot.ReplayWAL(ctx, snapshotRecord(snap.Bytes())); err != nil {
+		t.Fatalf("snapshot replay: %v", err)
 	}
 
 	// Path 2: WAL replay (read-only, across the compaction boundary).
@@ -357,7 +367,7 @@ func TestSnapshotWALEquivalence(t *testing.T) {
 	sigS := signatureOf(t, viaSnapshot)
 	sigR := signatureOf(t, viaWAL)
 	if !reflect.DeepEqual(sigS, sigW) {
-		t.Fatalf("snapshot restore diverged from the original\n got: %+v\nwant: %+v", sigS, sigW)
+		t.Fatalf("snapshot replay diverged from the original\n got: %+v\nwant: %+v", sigS, sigW)
 	}
 	if !reflect.DeepEqual(sigR, sigW) {
 		t.Fatalf("wal replay diverged from the original\n got: %+v\nwant: %+v", sigR, sigW)

@@ -90,7 +90,8 @@ type CampaignObserveRequest struct {
 }
 
 // Campaigns exposes the campaign manager for embedding applications (and
-// cmd/priced's snapshot/restore); HTTP callers use the /v1/campaigns API.
+// cmd/priced's event-log boot: OpenWAL, ReplayWAL); HTTP callers use the
+// /v1/campaigns API.
 func (s *Server) Campaigns() *campaign.Manager { return s.campaigns }
 
 // counted wraps a campaign handler with the request counter (the method

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"crowdpricing/internal/wal"
 )
 
 // newHTTPTestServer serves an arbitrary handler for client-side tests.
@@ -109,11 +111,29 @@ func apiStatus(err error) int {
 	return 0
 }
 
+// bootWAL runs the daemon's boot order on s against the log at dir in
+// mem: open (recovering), replay, attach.
+func bootWAL(t *testing.T, s *Server, mem *wal.MemFS) *wal.Log {
+	t.Helper()
+	wlog, err := s.Campaigns().OpenWAL("wal", wal.Options{FS: mem, SyncInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Campaigns().ReplayWAL(context.Background(), wlog); err != nil {
+		t.Fatal(err)
+	}
+	s.AttachWAL(wlog)
+	return wlog
+}
+
 // TestCampaignSnapshotRestartHTTP proves the restart story end-to-end:
-// campaigns created and advanced over HTTP on daemon A, snapshot, restore
-// into a brand-new daemon B, and B quotes byte-identical prices.
+// campaigns created and advanced over HTTP on daemon A, whose event log is
+// compacted into a snapshot record mid-history, replay into a brand-new
+// daemon B, and B quotes byte-identical prices.
 func TestCampaignSnapshotRestartHTTP(t *testing.T) {
+	mem := wal.NewMemFS()
 	srvA, tsA := newTestServer(t, Options{})
+	logA := bootWAL(t, srvA, mem)
 	clientA := NewClient(tsA.URL)
 	ctx := context.Background()
 
@@ -123,20 +143,22 @@ func TestCampaignSnapshotRestartHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
+		if i == 2 {
+			if err := logA.Compact(); err != nil {
+				t.Fatal(err)
+			}
+		}
 		if _, err := clientA.ObserveCampaign(ctx, st.ID, float64(20+5*i), []int{1}); err != nil {
 			t.Fatal(err)
 		}
 	}
-
-	var snap bytes.Buffer
-	if err := srvA.Campaigns().Snapshot(&snap); err != nil {
+	if err := logA.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	srvB, tsB := newTestServer(t, Options{})
-	if err := srvB.Campaigns().Restore(ctx, bytes.NewReader(snap.Bytes())); err != nil {
-		t.Fatal(err)
-	}
+	logB := bootWAL(t, srvB, mem)
+	t.Cleanup(func() { logB.Close() })
 	clientB := NewClient(tsB.URL)
 
 	qa, err := clientA.CampaignPrice(ctx, st.ID)
@@ -148,7 +170,7 @@ func TestCampaignSnapshotRestartHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 	if qa.Price != qb.Price || qa.Interval != qb.Interval || qa.ActiveFactor != qb.ActiveFactor {
-		t.Fatalf("restored daemon quotes %+v, original %+v", qb, qa)
+		t.Fatalf("replayed daemon quotes %+v, original %+v", qb, qa)
 	}
 }
 

@@ -92,19 +92,34 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	if err != nil {
 		return err
 	}
-	defer res.Body.Close()
+	defer closeBody(res.Body)
 	if res.StatusCode != http.StatusOK {
 		apiErr := &APIError{StatusCode: res.StatusCode, Status: res.Status}
 		if secs, err := strconv.Atoi(res.Header.Get("Retry-After")); err == nil && secs >= 0 {
 			apiErr.RetryAfter = time.Duration(secs) * time.Second
 		}
 		var e errorResponse
-		if json.NewDecoder(io.LimitReader(res.Body, 1<<16)).Decode(&e) == nil && e.Error != "" {
+		if json.NewDecoder(io.LimitReader(res.Body, maxDrain)).Decode(&e) == nil && e.Error != "" {
 			apiErr.Message = e.Error
 		}
 		return apiErr
 	}
 	return json.NewDecoder(res.Body).Decode(out)
+}
+
+// maxDrain bounds how much of a response body closeBody reads, and how
+// much of an error body is parsed for its message.
+const maxDrain = 1 << 16
+
+// closeBody reads the body to EOF before closing it: net/http reuses a
+// keep-alive connection only when the previous body was read through, and
+// json.Decoder stops at the end of the value — before the encoder's
+// trailing newline or the chunked terminator — so without the drain every
+// call would dial afresh. The bound keeps an oversized error body from
+// stalling the caller; past it the connection is simply not reused.
+func closeBody(body io.ReadCloser) {
+	_, _ = io.Copy(io.Discard, io.LimitReader(body, maxDrain))
+	body.Close()
 }
 
 // Solve is the kind-generic request path: POST req to /v1/solve/{kind} and
@@ -229,20 +244,8 @@ func (c *Client) DebugRequests(ctx context.Context) ([]telemetry.TraceSummary, e
 
 // Healthz reads the daemon's liveness status.
 func (c *Client) Healthz(ctx context.Context) (*HealthStatus, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/healthz", nil)
-	if err != nil {
-		return nil, err
-	}
-	res, err := c.httpClient().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer res.Body.Close()
-	if res.StatusCode != http.StatusOK {
-		return nil, &APIError{StatusCode: res.StatusCode, Status: res.Status}
-	}
 	var out HealthStatus
-	if err := json.NewDecoder(res.Body).Decode(&out); err != nil {
+	if err := c.do(ctx, http.MethodGet, "/healthz", nil, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil

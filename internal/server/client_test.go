@@ -3,9 +3,11 @@ package server
 import (
 	"context"
 	"errors"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -156,6 +158,47 @@ func TestClientHealthzErrorPaths(t *testing.T) {
 			t.Fatal("malformed healthz body decoded without error")
 		}
 	})
+}
+
+// TestClientReusesConnection: sequential calls on one Client share one
+// keep-alive connection. A paper-scale policy is a ~312 KB chunked body
+// whose terminator json.Decoder never reads; unless the client drains it,
+// net/http drops the connection and every call dials afresh. A rejected
+// request in the middle checks the error path drains too.
+func TestClientReusesConnection(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	var dials atomic.Int64
+	var dialer net.Dialer
+	tr := &http.Transport{
+		DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+			dials.Add(1)
+			return dialer.DialContext(ctx, network, addr)
+		},
+	}
+	t.Cleanup(tr.CloseIdleConnections)
+	c := &Client{BaseURL: ts.URL, HTTP: &http.Client{Transport: tr}}
+	ctx := context.Background()
+	req := paperScaleRequest()
+	const n = 4
+	for i := 0; i < n; i++ {
+		if i == n/2 {
+			bad := req
+			bad.N = 0
+			if _, err := c.SolveDeadline(ctx, bad); apiStatus(err) != http.StatusBadRequest {
+				t.Fatalf("invalid solve: err = %v, want a 400", err)
+			}
+		}
+		res, err := c.SolveDeadline(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Result) < 100_000 {
+			t.Fatalf("paper-scale policy is %d bytes; the test needs a large body", len(res.Result))
+		}
+	}
+	if got := dials.Load(); got != 1 {
+		t.Fatalf("%d sequential calls dialed %d connections, want 1", n+1, got)
+	}
 }
 
 // TestClientConnectionRefused: a dead endpoint produces a transport error,

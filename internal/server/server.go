@@ -480,51 +480,35 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	total := len(req.Deadline) + len(req.Budget) + len(req.Tradeoff) + len(req.Items)
-	if total == 0 {
+	if len(req.Items) == 0 {
 		s.fail(w, http.StatusBadRequest, errors.New("empty batch"))
 		return
 	}
-	if total > MaxBatchItems {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("batch has %d items, limit is %d", total, MaxBatchItems))
+	if len(req.Items) > MaxBatchItems {
+		s.fail(w, http.StatusBadRequest, fmt.Errorf("batch has %d items, limit is %d", len(req.Items), MaxBatchItems))
 		return
 	}
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
 
-	resp := BatchResponse{
-		Deadline: make([]BatchResult, len(req.Deadline)),
-		Budget:   make([]BatchResult, len(req.Budget)),
-		Tradeoff: make([]BatchResult, len(req.Tradeoff)),
-		Items:    make([]BatchResult, len(req.Items)),
-	}
-	jobs := make([]batchJob, 0, total)
-	// The typed legacy arrays are already decoded specs.
-	for i := range req.Deadline {
-		jobs = append(jobs, batchJob{spec: &req.Deadline[i], slot: &resp.Deadline[i]})
-	}
-	for i := range req.Budget {
-		jobs = append(jobs, batchJob{spec: &req.Budget[i], slot: &resp.Budget[i]})
-	}
-	for i := range req.Tradeoff {
-		jobs = append(jobs, batchJob{spec: &req.Tradeoff[i], slot: &resp.Tradeoff[i]})
-	}
-	// Generic items resolve their kind through the registry; a bad kind or
-	// body fails that item alone, never the batch.
-	for i := range req.Items {
-		job := batchJob{slot: &resp.Items[i]}
-		def, ok := s.registry.Lookup(req.Items[i].Kind)
+	resp := BatchResponse{Items: make([]BatchResult, len(req.Items))}
+	jobs := make([]batchJob, len(req.Items))
+	// Items resolve their kind through the registry; a bad kind or body
+	// fails that item alone, never the batch.
+	for i, item := range req.Items {
+		job := &jobs[i]
+		job.slot = &resp.Items[i]
+		def, ok := s.registry.Lookup(item.Kind)
 		if !ok {
-			job.err = fmt.Errorf("unknown problem kind %q", req.Items[i].Kind)
-		} else {
-			spec := def.New()
-			if err := strictUnmarshal(req.Items[i].Request, spec); err != nil {
-				job.err = fmt.Errorf("bad %s request: %w", req.Items[i].Kind, err)
-			} else {
-				job.spec = spec
-			}
+			job.err = fmt.Errorf("unknown problem kind %q", item.Kind)
+			continue
 		}
-		jobs = append(jobs, job)
+		spec := def.New()
+		if err := strictUnmarshal(item.Request, spec); err != nil {
+			job.err = fmt.Errorf("bad %s request: %w", item.Kind, err)
+			continue
+		}
+		job.spec = spec
 	}
 
 	// Items run concurrently so identical ones collapse onto one solve via

@@ -262,34 +262,46 @@ func TestTradeoffEndpoint(t *testing.T) {
 	}
 }
 
+// batchItem wraps a request as a generic batch item of kind.
+func batchItem(t testing.TB, kind string, req any) BatchItem {
+	t.Helper()
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return BatchItem{Kind: kind, Request: body}
+}
+
 // TestBatchDedup: a batch holding the same deadline problem three times
 // plus a budget and a tradeoff item costs exactly three solves.
 func TestBatchDedup(t *testing.T) {
 	s, ts := newTestServer(t, Options{})
 	client := NewClient(ts.URL)
-	dreq := testDeadlineRequest()
-	batch := BatchRequest{
-		Deadline: []DeadlineRequest{dreq, dreq, dreq},
-		Budget:   []BudgetRequest{testBudgetRequest()},
-		Tradeoff: []TradeoffRequest{testTradeoffRequest()},
-	}
+	dreq := batchItem(t, KindDeadline, testDeadlineRequest())
+	batch := BatchRequest{Items: []BatchItem{
+		dreq, dreq, dreq,
+		batchItem(t, KindBudget, testBudgetRequest()),
+		batchItem(t, KindTradeoff, testTradeoffRequest()),
+	}}
 	resp, err := client.SolveBatch(context.Background(), batch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(resp.Deadline) != 3 || len(resp.Budget) != 1 || len(resp.Tradeoff) != 1 {
-		t.Fatalf("batch shape %d/%d/%d, want 3/1/1", len(resp.Deadline), len(resp.Budget), len(resp.Tradeoff))
+	if len(resp.Items) != 5 {
+		t.Fatalf("batch answered %d items, want 5", len(resp.Items))
 	}
-	for i, r := range resp.Deadline {
+	for i, r := range resp.Items {
 		if r.Error != "" {
-			t.Fatalf("deadline[%d]: %s", i, r.Error)
+			t.Fatalf("items[%d]: %s", i, r.Error)
 		}
-		if !bytes.Equal(r.Response.Result, resp.Deadline[0].Response.Result) {
-			t.Errorf("deadline[%d] policy differs within the batch", i)
+		if want := batch.Items[i].Kind; r.Response.Kind != want {
+			t.Errorf("items[%d] answered kind %q, want %q (positional mirror broken)", i, r.Response.Kind, want)
 		}
 	}
-	if resp.Budget[0].Error != "" || resp.Tradeoff[0].Error != "" {
-		t.Fatalf("batch items failed: %q %q", resp.Budget[0].Error, resp.Tradeoff[0].Error)
+	for i := 1; i < 3; i++ {
+		if !bytes.Equal(resp.Items[i].Response.Result, resp.Items[0].Response.Result) {
+			t.Errorf("items[%d] policy differs within the batch", i)
+		}
 	}
 	if m := s.Metrics(); m.Solves != 3 {
 		t.Errorf("batch performed %d solves, want 3 (1 deadline + 1 budget + 1 tradeoff)", m.Solves)
@@ -299,18 +311,18 @@ func TestBatchDedup(t *testing.T) {
 	bad := testDeadlineRequest()
 	bad.N = 0
 	mixed, err := client.SolveBatch(context.Background(), BatchRequest{
-		Deadline: []DeadlineRequest{bad, dreq},
+		Items: []BatchItem{batchItem(t, KindDeadline, bad), dreq},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mixed.Deadline[0].Error == "" {
+	if mixed.Items[0].Error == "" {
 		t.Error("invalid batch item reported no error")
 	}
-	if mixed.Deadline[1].Error != "" || mixed.Deadline[1].Response == nil {
+	if mixed.Items[1].Error != "" || mixed.Items[1].Response == nil {
 		t.Error("valid batch item was dragged down by the invalid one")
 	}
-	if !mixed.Deadline[1].Response.CacheHit {
+	if !mixed.Items[1].Response.CacheHit {
 		t.Error("repeated problem in second batch missed the cache")
 	}
 }
@@ -335,6 +347,9 @@ func TestBadRequests(t *testing.T) {
 		{"bad budget method", "/v1/solve/budget", `{"n": 10, "budget": 100, "accept": {"s": 15, "b": 0, "m": 2000}, "min_price": 1, "max_price": 5, "method": "magic"}`, http.StatusBadRequest},
 		{"bad tradeoff formulation", "/v1/solve/tradeoff", `{"n": 10, "alpha": 1, "lambda": 10, "accept": {"s": 15, "b": 0, "m": 2000}, "min_price": 1, "max_price": 5, "formulation": "magic"}`, http.StatusBadRequest},
 		{"empty batch", "/v1/solve/batch", `{}`, http.StatusBadRequest},
+		// Typed per-kind arrays are not part of the batch shape: a body
+		// still sending one is refused, never silently dropped.
+		{"typed batch array", "/v1/solve/batch", `{"deadline": [{"n": 10}]}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		if res := post(tc.path, tc.body); res.StatusCode != tc.want {
@@ -391,11 +406,11 @@ func TestServiceLimits(t *testing.T) {
 	}
 
 	// A batch over MaxBatchItems is rejected whole.
-	over := make([]BudgetRequest, MaxBatchItems+1)
+	over := make([]BatchItem, MaxBatchItems+1)
 	for i := range over {
-		over[i] = testBudgetRequest()
+		over[i] = batchItem(t, KindBudget, testBudgetRequest())
 	}
-	if _, err := client.SolveBatch(ctx, BatchRequest{Budget: over}); err == nil || !strings.Contains(err.Error(), "400") {
+	if _, err := client.SolveBatch(ctx, BatchRequest{Items: over}); err == nil || !strings.Contains(err.Error(), "400") {
 		t.Errorf("oversized batch: err = %v, want 400", err)
 	}
 }
@@ -683,8 +698,11 @@ func TestMultiKindGeneric(t *testing.T) {
 		t.Fatal(err)
 	}
 	batch, err := client.SolveBatch(ctx, BatchRequest{
-		Items:  []BatchItem{{Kind: KindMulti, Request: body}, {Kind: "no-such-kind", Request: body}},
-		Budget: []BudgetRequest{testBudgetRequest()},
+		Items: []BatchItem{
+			{Kind: KindMulti, Request: body},
+			{Kind: "no-such-kind", Request: body},
+			batchItem(t, KindBudget, testBudgetRequest()),
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -698,8 +716,8 @@ func TestMultiKindGeneric(t *testing.T) {
 	if got := batch.Items[1]; got.Error == "" || !strings.Contains(got.Error, "unknown problem kind") {
 		t.Errorf("unknown-kind batch item error = %q, want an unknown-kind error", got.Error)
 	}
-	if batch.Budget[0].Error != "" {
-		t.Errorf("legacy typed batch item failed: %s", batch.Budget[0].Error)
+	if got := batch.Items[2]; got.Error != "" {
+		t.Errorf("budget batch item failed: %s", got.Error)
 	}
 
 	if m := s.Metrics(); m.SolvesByKind[KindMulti] != 1 {

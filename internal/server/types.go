@@ -147,17 +147,12 @@ type BatchItem struct {
 	Request json.RawMessage `json:"request"`
 }
 
-// BatchRequest solves many problems in one round trip. The items run
-// concurrently on the daemon, and duplicates — within the batch or against
-// other in-flight requests — are deduplicated by the same fingerprint
-// machinery as the single endpoints. The typed Deadline/Budget/Tradeoff
-// arrays predate the kind registry and remain supported; Items carries any
-// registered kind.
+// BatchRequest solves many problems of any registered kinds in one round
+// trip. The items run concurrently on the daemon, and duplicates — within
+// the batch or against other in-flight requests — are deduplicated by the
+// same fingerprint machinery as the single endpoints.
 type BatchRequest struct {
-	Deadline []DeadlineRequest `json:"deadline,omitempty"`
-	Budget   []BudgetRequest   `json:"budget,omitempty"`
-	Tradeoff []TradeoffRequest `json:"tradeoff,omitempty"`
-	Items    []BatchItem       `json:"items,omitempty"`
+	Items []BatchItem `json:"items,omitempty"`
 }
 
 // BatchResult is the per-item outcome: exactly one of Response or Error is
@@ -167,13 +162,10 @@ type BatchResult struct {
 	Error    string         `json:"error,omitempty"`
 }
 
-// BatchResponse mirrors BatchRequest positionally: Deadline[i] answers
-// request Deadline[i], Items[i] answers Items[i], and so on.
+// BatchResponse mirrors BatchRequest positionally: Items[i] answers
+// request Items[i].
 type BatchResponse struct {
-	Deadline []BatchResult `json:"deadline,omitempty"`
-	Budget   []BatchResult `json:"budget,omitempty"`
-	Tradeoff []BatchResult `json:"tradeoff,omitempty"`
-	Items    []BatchResult `json:"items,omitempty"`
+	Items []BatchResult `json:"items,omitempty"`
 }
 
 // errorResponse is the JSON body of every non-2xx reply.
