@@ -71,9 +71,9 @@
 //	      expire campaigns idle for this long; negative never expires
 //	      (default 30m0s)
 //	-quoter-memory-budget int
-//	      byte budget for decoded campaign policy tables; identical
-//	      campaigns always share one interned table, and over budget the
-//	      least-recently-quoted tables are dropped and re-decoded from the
+//	      byte budget for campaign policy tables; identical campaigns
+//	      always share one interned table, and over budget the
+//	      least-recently-quoted tables are dropped and rebuilt from the
 //	      engine's cached artifacts on next use (default 0 = unlimited)
 //	-lazy-bank
 //	      solve only an adaptive campaign's starting factor at create;

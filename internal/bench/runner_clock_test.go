@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"crowdpricing/internal/engine"
 )
 
 // stubSpec satisfies engine.Spec for requests a nopTarget never solves.
@@ -14,6 +16,9 @@ func (stubSpec) Kind() string                          { return "stub" }
 func (stubSpec) Validate() error                       { return nil }
 func (stubSpec) Fingerprint() (string, error)          { return "stub", nil }
 func (stubSpec) Solve(context.Context) ([]byte, error) { return nil, nil }
+func (stubSpec) SolveArtifact(context.Context) (engine.Artifact, error) {
+	return engine.RawJSON(nil), nil
+}
 
 // fakeClock advances virtual time instead of sleeping: After(d) moves the
 // clock forward by d and fires immediately, so an open-loop schedule

@@ -120,3 +120,71 @@ func TestQuoteTracedAllocationBound(t *testing.T) {
 			traced-baseline, baseline, traced)
 	}
 }
+
+// createCachedPaper creates one paper-scale deadline campaign over a
+// policy the engine already caches and finishes it again. Finishing drops
+// the intern entry's last reference, so every create is an intern miss
+// that builds its quoter view from the engine's cached artifact — the
+// daemon starting a campaign over a policy it solved before. It returns
+// the create's latency.
+func createCachedPaper(tb testing.TB, m *Manager, req []byte) time.Duration {
+	tb.Helper()
+	begin := time.Now()
+	st, err := m.Create(context.Background(), kinds.KindDeadline, req, nil)
+	took := time.Since(begin)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := m.Finish(st.ID); err != nil {
+		tb.Fatal(err)
+	}
+	return took
+}
+
+// BenchmarkCreateCachedPaperScale times a paper-scale create over an
+// engine-cached policy with an intern miss (see createCachedPaper); the
+// finish is outside the timer.
+func BenchmarkCreateCachedPaperScale(b *testing.B) {
+	m, _ := newInternManager(b, Options{})
+	req := sampleRequest(b, kinds.KindDeadline, 1, "paper")
+	createCachedPaper(b, m, req) // the one solve
+	b.ResetTimer()
+	var total time.Duration
+	for i := 0; i < b.N; i++ {
+		total += createCachedPaper(b, m, req)
+	}
+	b.ReportMetric(float64(total.Nanoseconds())/float64(b.N), "create-ns/op")
+}
+
+// TestCreateCachedPolicyBound is the fence behind the benchmark: starting
+// a campaign over a solved paper-scale policy must not pay for the policy
+// again, so the median create stays under a millisecond (parsing the
+// 312 KB wire form alone takes ~5 ms). Every create must be an engine hit
+// and an intern miss, or the fence measures the wrong path. Under the race
+// detector the bound is ten times looser.
+func TestCreateCachedPolicyBound(t *testing.T) {
+	m, eng := newInternManager(t, Options{})
+	req := sampleRequest(t, kinds.KindDeadline, 1, "paper")
+	createCachedPaper(t, m, req)
+	const samples = 200
+	lat := make([]time.Duration, samples)
+	for i := range lat {
+		lat[i] = createCachedPaper(t, m, req)
+	}
+	if s := eng.Metrics().Solves; s != 1 {
+		t.Fatalf("engine ran %d solves, want 1 (every create after the first is a cache hit)", s)
+	}
+	if is := m.intern.stats(); is.misses != samples+1 || is.hits != 0 {
+		t.Fatalf("intern hits/misses %d/%d, want 0/%d", is.hits, is.misses, samples+1)
+	}
+	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+	median := lat[samples/2]
+	t.Logf("paper-scale cached create: p50 %v, p90 %v", median, lat[samples*9/10])
+	bound := time.Millisecond
+	if raceEnabled {
+		bound *= 10
+	}
+	if median > bound {
+		t.Fatalf("median cached create %v, bound %v: a create is re-processing the solved policy", median, bound)
+	}
+}

@@ -10,12 +10,12 @@
 // and Quote are O(1) updates and table lookups under a per-campaign mutex,
 // while every expensive solve — the initial policy and the adaptive bank's
 // per-factor policies — runs through internal/engine's admission-controlled
-// scheduler before the campaign goes live. Decoded policy tables live in a
-// fingerprint-keyed intern table (intern.go): identical campaigns share
-// one compact table, and under a byte budget cold tables are dropped and
-// lazily re-decoded from the engine's cached artifact bytes — the one case
-// where a quote may wait on a solve, and it does so outside the campaign's
-// mutex.
+// scheduler before the campaign goes live. Campaigns quote from views over
+// the solved artifact's int32 price table, held in a fingerprint-keyed
+// intern table (intern.go): identical campaigns share one view, and under
+// a byte budget cold views are dropped and lazily rebuilt from the
+// engine's cached artifact — the one case where a quote may wait on a
+// solve, and it does so outside the campaign's mutex.
 //
 // A Manager owns the campaign table: create/observe/quote/finish lifecycle,
 // TTL expiry of abandoned campaigns, Prometheus-style counters, and an
@@ -124,8 +124,8 @@ type campaign struct {
 	// is nil. adaptive path: bank[i] is the handle for factors[i],
 	// baseLambdas the unscaled per-interval expectations, window the
 	// estimate length. Handles are refcounted by the manager's intern
-	// table; the decoded tables behind them may be shared across campaigns
-	// and evicted/re-decoded under the byte budget.
+	// table; the tables behind them may be shared across campaigns and
+	// evicted/rebuilt under the byte budget.
 	bank        []*internedQuoter
 	factors     []float64
 	window      int

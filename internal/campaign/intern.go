@@ -13,11 +13,14 @@ import (
 // internTable is the policy-table memory engine: one refcounted entry per
 // solve fingerprint, shared by every campaign (and every adaptive bank
 // factor) over the same problem, so a thousand identical campaigns hold one
-// decoded table instead of a thousand. Entries tier by resident bytes:
-// when budget > 0 and decoded tables exceed it, the least-recently-quoted
-// tables are dropped and lazily re-decoded from the engine's cached
-// artifact bytes the next time they are needed, each re-decode deduped by
-// the entry's own singleflight mutex.
+// quoter view instead of a thousand. A view shares its solved artifact's
+// int32 price table, so building one parses and copies nothing. Entries
+// tier by resident bytes: when budget > 0 and resident tables exceed it,
+// the least-recently-quoted views are dropped and rebuilt from the
+// engine's cached artifact (an engine hit; a re-solve if the engine
+// evicted it too) the next time they are needed, each rebuild deduped by
+// the entry's own singleflight mutex. "Decode" below names that build
+// step, as the redecodes counter and the quoter_decode stage do.
 //
 // Lock order: an entry's decodeMu may be held while calling the engine and
 // while taking t.mu; t.mu never waits on decodeMu or the engine. The quote
@@ -60,15 +63,15 @@ type quoterMeta struct {
 }
 
 // internedQuoter is one intern-table entry: a refcounted handle on the
-// (possibly evicted) decoded table for one solve fingerprint. Handles are
+// (possibly evicted) quoter view for one solve fingerprint. Handles are
 // what campaigns hold in their banks; the table itself comes and goes under
 // the byte budget.
 type internedQuoter struct {
 	t    *internTable
 	key  string
 	kind string
-	// spec re-solves the artifact after eviction. The engine's byte cache
-	// makes that a decode in the common case; a cold engine cache re-runs
+	// spec re-solves the artifact after eviction. The engine's artifact
+	// cache makes that a hit in the common case; a cold engine cache re-runs
 	// the (deterministic) solver, so the table still comes back
 	// bit-identical.
 	spec engine.Spec
@@ -77,7 +80,7 @@ type internedQuoter struct {
 	// t.mu. At zero the entry leaves the table.
 	refs int
 
-	// tab is the decoded table, nil while evicted or never solved.
+	// tab is the quoter view, nil while evicted or never solved.
 	tab atomic.Pointer[policyTable]
 	// lastUse is the recency stamp eviction orders by.
 	lastUse atomic.Int64
@@ -177,7 +180,7 @@ func (t *internTable) stats() internStats {
 	}
 }
 
-// install publishes a freshly decoded table, accounts its bytes, and
+// install publishes a freshly built view, accounts its bytes, and
 // enforces the budget. keep is never evicted in the same pass — installing
 // a table only to drop it before its caller quotes would livelock.
 func (t *internTable) install(h *internedQuoter, tab policyTable) {
@@ -203,11 +206,11 @@ func (t *internTable) install(h *internedQuoter, tab policyTable) {
 	t.evictLocked(h)
 }
 
-// evictLocked drops least-recently-used decoded tables until resident
-// bytes fit the budget (keep excluded). Ties break on the fingerprint so
-// the victim choice never depends on map iteration order. A single table
-// larger than the whole budget stays resident — evicting it would just
-// thrash re-decodes. Callers hold t.mu.
+// evictLocked drops least-recently-used views until resident bytes fit
+// the budget (keep excluded). Ties break on the fingerprint so the victim
+// choice never depends on map iteration order. A single table larger than
+// the whole budget stays resident — evicting it would just thrash
+// rebuilds. Callers hold t.mu.
 func (t *internTable) evictLocked(keep *internedQuoter) {
 	for t.budget > 0 && t.resident > t.budget {
 		var victim *internedQuoter
@@ -229,7 +232,7 @@ func (t *internTable) evictLocked(keep *internedQuoter) {
 	}
 }
 
-// load returns the decoded table, or nil while evicted/unsolved.
+// load returns the quoter view, or nil while evicted/unsolved.
 func (h *internedQuoter) load() policyTable {
 	if p := h.tab.Load(); p != nil {
 		return *p
@@ -243,7 +246,7 @@ func (h *internedQuoter) touch() {
 	h.lastUse.Store(h.t.clock.Add(1))
 }
 
-// ensure returns the decoded table, solving and decoding it if evicted or
+// ensure returns the quoter view, solving and building it if evicted or
 // never solved. The background flag routes the solve through the engine's
 // background lane (bank pre-solves, prefetches); interactive callers keep
 // queue priority. The returned cacheHit reports whether no fresh solver
@@ -268,11 +271,11 @@ func (h *internedQuoter) ensure(ctx context.Context, background bool) (policyTab
 	if err != nil {
 		return nil, false, err
 	}
-	// The engine recorded its own queue/solve spans through ctx; the
-	// decode is this layer's contribution.
+	// The engine recorded its own queue/solve spans through ctx; building
+	// the view is this layer's contribution.
 	tr := telemetry.FromContext(ctx)
 	decodeStart := tr.Now()
-	tab, err := decodeTable(h.kind, res.Value)
+	tab, err := newTable(h.kind, res.Value)
 	tr.ObserveSince(telemetry.StageQuoterDecode, decodeStart)
 	if err != nil {
 		return nil, false, err

@@ -51,10 +51,11 @@ type Options struct {
 	// SweepInterval is how often the background sweeper scans for expired
 	// campaigns (0 = TTL/4 clamped to [1s, 1m]). Ignored when TTL < 0.
 	SweepInterval time.Duration
-	// QuoterMemoryBudget bounds the bytes of decoded policy tables resident
-	// across all interned quoters (0 = unlimited). Over budget, the
-	// least-recently-quoted tables are dropped and lazily re-decoded from
-	// the engine's cached artifact bytes on next use.
+	// QuoterMemoryBudget bounds the bytes of policy tables resident across
+	// all interned quoters (0 = unlimited). Over budget, the
+	// least-recently-quoted tables are dropped and lazily rebuilt from the
+	// engine's cached artifact on next use (a re-solve if the engine has
+	// evicted it too).
 	QuoterMemoryBudget int64
 	// LazyBank defers adaptive bank solving: only the starting factor is
 	// solved at create; a neighboring factor is solved the first time the
@@ -242,8 +243,8 @@ func (m *Manager) releaseCampaign(c *campaign) {
 }
 
 // Create registers a new campaign: intern the policy for (kind, request) —
-// identical campaigns share one decoded table, cold problems solve through
-// the engine — and, in adaptive mode, build the factor bank (pre-solved
+// identical campaigns share one table, cold problems solve through the
+// engine — and, in adaptive mode, build the factor bank (pre-solved
 // on the engine's background lane, or lazily under Options.LazyBank).
 // The returned State carries the campaign ID every other call takes.
 func (m *Manager) Create(ctx context.Context, kind string, request json.RawMessage, adaptive *AdaptiveOptions) (*State, error) {
@@ -311,7 +312,7 @@ func (m *Manager) Create(ctx context.Context, kind string, request json.RawMessa
 
 // newCampaign builds an unregistered campaign for (kind, request) at the
 // policy's initial counts: intern the policy — identical campaigns share
-// one decoded table, cold problems solve through the engine — and, in
+// one table, cold problems solve through the engine — and, in
 // adaptive mode, build the factor bank. On success the caller owns the
 // campaign's intern references and must hand them back with
 // releaseCampaign if it never registers the campaign. warm reports an
@@ -349,8 +350,8 @@ func (m *Manager) newCampaign(ctx context.Context, kind string, request json.Raw
 
 // buildBank builds the adaptive factor bank: one interned handle per
 // factor of the base deadline problem with λ_t scaled, so identical banks
-// across campaigns (or across a WAL replay) share one decoded table
-// per factor, not one per campaign. Eager mode pre-solves every factor
+// across campaigns (or across a WAL replay) share one table per factor,
+// not one per campaign. Eager mode pre-solves every factor
 // concurrently through the engine's background lane — its worker pool,
 // queue, and singleflight table are the admission control, and the lane
 // keeps the grid from monopolizing workers against interactive solves.
@@ -531,7 +532,7 @@ func sumCompleted(completed []int) int {
 // atomic table load, and one lookup into the campaign's reusable price
 // buffer — zero heap allocations beyond the response envelope. A table
 // evicted under the memory budget (or a lazy bank slot quoted before its
-// prefetch lands) is re-decoded outside the campaign's mutex first.
+// prefetch lands) is rebuilt outside the campaign's mutex first.
 func (m *Manager) Quote(id string) (*Quote, error) {
 	return m.QuoteTraced(nil, id)
 }

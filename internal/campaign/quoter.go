@@ -1,11 +1,9 @@
 package campaign
 
 import (
-	"encoding/json"
 	"fmt"
-	"math"
 
-	"crowdpricing/internal/core"
+	"crowdpricing/internal/engine"
 	"crowdpricing/internal/kinds"
 )
 
@@ -32,9 +30,9 @@ type Quoter interface {
 	AppendQuote(dst []int, remaining []int, t int) []int
 }
 
-// policyTable is a decoded, compact policy table: a Quoter that also knows
-// its resident footprint, which is what the intern layer's byte budget
-// tiers on.
+// policyTable is a quoter view over a solved artifact's compact price
+// table: a Quoter that also knows its resident footprint, which is what
+// the intern layer's byte budget tiers on.
 type policyTable interface {
 	Quoter
 	residentBytes() int64
@@ -52,45 +50,27 @@ func SupportsKind(kind string) bool {
 	return false
 }
 
-// decodeTable decodes the engine's solved artifact for kind into its
-// compact policy table: one contiguous int32 price slice with precomputed
-// strides, in place of the artifact's per-row boxed slices. Budget is
-// rejected: a budget strategy is a static up-front allocation with no
-// per-state price table, so "the current price" is undefined for it.
-func decodeTable(kind string, artifact []byte) (policyTable, error) {
-	switch kind {
-	case kinds.KindDeadline:
-		var pol core.DeadlinePolicy
-		if err := json.Unmarshal(artifact, &pol); err != nil {
-			return nil, fmt.Errorf("campaign: bad deadline artifact: %w", err)
-		}
-		return newDeadlineTable(&pol)
-	case kinds.KindTradeoff:
-		var sched kinds.TradeoffSchedule
-		if err := json.Unmarshal(artifact, &sched); err != nil {
-			return nil, fmt.Errorf("campaign: bad tradeoff artifact: %w", err)
-		}
-		return newTradeoffTable(&sched)
-	case kinds.KindMulti:
-		var sched kinds.MultiSchedule
-		if err := json.Unmarshal(artifact, &sched); err != nil {
-			return nil, fmt.Errorf("campaign: bad multi artifact: %w", err)
-		}
-		return newMultiTable(&sched)
-	default:
-		return nil, fmt.Errorf("campaign: %w: kind %q has no sequential price table", ErrUnsupportedKind, kind)
+// newTable wraps the engine's solved artifact in its quoter view. The view
+// shares the artifact's int32 price slice — building it copies nothing and
+// parses nothing; the artifact already checked its dimensions and cells.
+// Budget is rejected: a budget strategy is a static up-front allocation
+// with no per-state price table, so "the current price" is undefined for
+// it.
+func newTable(kind string, artifact engine.Artifact) (policyTable, error) {
+	switch a := artifact.(type) {
+	case *kinds.DeadlineArtifact:
+		return &deadlineTable{n: a.Problem.N, intervals: a.Problem.Intervals,
+			minPrice: int32(a.Problem.MinPrice), prices: a.Prices}, nil
+	case *kinds.TradeoffArtifact:
+		return &tradeoffTable{prices: a.Prices}, nil
+	case *kinds.MultiArtifact:
+		return &multiTable{counts: a.Counts, strides: a.Strides, intervals: a.Intervals,
+			states: a.States, prices: a.Prices}, nil
 	}
-}
-
-// checkedPrice narrows a decoded price to the compact tables' int32 cells.
-// Prices are integer cents bounded by the problem's price range, so the
-// narrowing is a formality — but a corrupt artifact must fail at decode,
-// not quote wrong prices.
-func checkedPrice(p int) (int32, error) {
-	if p < math.MinInt32 || p > math.MaxInt32 {
-		return 0, fmt.Errorf("campaign: price %d overflows the compact table cell", p)
+	if SupportsKind(kind) {
+		return nil, fmt.Errorf("campaign: %s solve returned a %T artifact, not its price table", kind, artifact)
 	}
-	return int32(p), nil
+	return nil, fmt.Errorf("campaign: %w: kind %q has no sequential price table", ErrUnsupportedKind, kind)
 }
 
 // deadlineTable serves the Section 3 finite-horizon policy: prices[t*(n+1)+k]
@@ -102,33 +82,6 @@ type deadlineTable struct {
 	intervals int
 	minPrice  int32
 	prices    []int32
-}
-
-func newDeadlineTable(pol *core.DeadlinePolicy) (*deadlineTable, error) {
-	n, intervals := pol.Problem.N, pol.Problem.Intervals
-	if n <= 0 || intervals <= 0 || len(pol.Price) != intervals {
-		return nil, fmt.Errorf("campaign: malformed deadline artifact (n=%d, %d/%d interval rows)",
-			n, len(pol.Price), intervals)
-	}
-	minPrice, err := checkedPrice(pol.Problem.MinPrice)
-	if err != nil {
-		return nil, err
-	}
-	q := &deadlineTable{n: n, intervals: intervals, minPrice: minPrice,
-		prices: make([]int32, intervals*(n+1))}
-	for t, row := range pol.Price {
-		if len(row) != n+1 {
-			return nil, fmt.Errorf("campaign: deadline artifact row %d has %d states, want %d", t, len(row), n+1)
-		}
-		for k, p := range row {
-			cell, err := checkedPrice(p)
-			if err != nil {
-				return nil, err
-			}
-			q.prices[t*(n+1)+k] = cell
-		}
-	}
-	return q, nil
 }
 
 func (q *deadlineTable) Types() int           { return 1 }
@@ -158,21 +111,6 @@ type tradeoffTable struct {
 	prices []int32
 }
 
-func newTradeoffTable(sched *kinds.TradeoffSchedule) (*tradeoffTable, error) {
-	if len(sched.Price) == 0 {
-		return nil, fmt.Errorf("campaign: tradeoff artifact has an empty price table")
-	}
-	q := &tradeoffTable{prices: make([]int32, len(sched.Price))}
-	for n, p := range sched.Price {
-		cell, err := checkedPrice(p)
-		if err != nil {
-			return nil, err
-		}
-		q.prices[n] = cell
-	}
-	return q, nil
-}
-
 func (q *tradeoffTable) Types() int           { return 1 }
 func (q *tradeoffTable) Horizon() int         { return 0 }
 func (q *tradeoffTable) InitialCounts() []int { return []int{len(q.prices) - 1} }
@@ -191,53 +129,14 @@ func (q *tradeoffTable) AppendQuote(dst []int, remaining []int, t int) []int {
 // multiTable serves the general-k joint policy: states are count vectors,
 // flattened row-major with the last type's count varying fastest (the
 // MultiSchedule wire layout), and each state's k per-type prices stored
-// contiguously at prices[(t*states+idx)*k:].
+// contiguously at prices[(t*states+idx)*k:]. counts and strides are the
+// artifact's own slices, read-only like the prices.
 type multiTable struct {
 	counts    []int
 	strides   []int
 	intervals int
 	states    int
 	prices    []int32
-}
-
-func newMultiTable(sched *kinds.MultiSchedule) (*multiTable, error) {
-	if len(sched.Counts) == 0 || sched.Intervals <= 0 || len(sched.Prices) != sched.Intervals {
-		return nil, fmt.Errorf("campaign: malformed multi artifact (%d types, %d/%d interval rows)",
-			len(sched.Counts), len(sched.Prices), sched.Intervals)
-	}
-	k := len(sched.Counts)
-	states := 1
-	strides := make([]int, k)
-	for i := k - 1; i >= 0; i-- {
-		strides[i] = states
-		states *= sched.Counts[i] + 1
-	}
-	q := &multiTable{
-		counts:    append([]int(nil), sched.Counts...),
-		strides:   strides,
-		intervals: sched.Intervals,
-		states:    states,
-		prices:    make([]int32, sched.Intervals*states*k),
-	}
-	for t, row := range sched.Prices {
-		if len(row) != states {
-			return nil, fmt.Errorf("campaign: multi artifact row %d has %d states, want %d", t, len(row), states)
-		}
-		for idx, vec := range row {
-			if len(vec) != k {
-				return nil, fmt.Errorf("campaign: multi artifact state (%d,%d) has %d prices, want %d", t, idx, len(vec), k)
-			}
-			base := (t*states + idx) * k
-			for i, p := range vec {
-				cell, err := checkedPrice(p)
-				if err != nil {
-					return nil, err
-				}
-				q.prices[base+i] = cell
-			}
-		}
-	}
-	return q, nil
 }
 
 func (q *multiTable) Types() int   { return len(q.counts) }

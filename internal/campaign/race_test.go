@@ -1,0 +1,8 @@
+//go:build race
+
+package campaign
+
+// raceEnabled reports a -race build. The race detector slows code about
+// tenfold and makes sync.Pool drop items at random, so wall-clock and
+// allocation fences account for it.
+const raceEnabled = true

@@ -5,10 +5,11 @@ import (
 	"sync"
 )
 
-// lruCache is a thread-safe LRU over serialized solve artifacts, keyed by
-// the spec's canonical fingerprint. Values are the exact bytes served to
-// clients, so a warm hit is a map lookup plus a write — no re-marshaling —
-// and every caller of the same key receives byte-identical artifacts.
+// lruCache is a thread-safe LRU over solved artifacts, keyed by the spec's
+// canonical fingerprint. Values are the typed artifacts themselves, not
+// their JSON: a warm hit hands every caller the same immutable value, the
+// campaign runtime quotes from its tables in place, and the server appends
+// its wire bytes straight into the response.
 type lruCache struct {
 	mu    sync.Mutex
 	max   int
@@ -18,7 +19,7 @@ type lruCache struct {
 
 type cacheEntry struct {
 	key string
-	val []byte
+	val Artifact
 }
 
 func newLRUCache(max int) *lruCache {
@@ -32,8 +33,8 @@ func newLRUCache(max int) *lruCache {
 	}
 }
 
-// Get returns the cached bytes for key and refreshes its recency.
-func (c *lruCache) Get(key string) ([]byte, bool) {
+// Get returns the cached artifact for key and refreshes its recency.
+func (c *lruCache) Get(key string) (Artifact, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
@@ -46,7 +47,7 @@ func (c *lruCache) Get(key string) ([]byte, bool) {
 
 // Put inserts or refreshes key, evicting the least recently used entries
 // when the cache exceeds its capacity.
-func (c *lruCache) Put(key string, val []byte) {
+func (c *lruCache) Put(key string, val Artifact) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {

@@ -9,13 +9,13 @@ import (
 func TestCacheLRUEviction(t *testing.T) {
 	c := newLRUCache(3)
 	for i := 1; i <= 3; i++ {
-		c.Put(fmt.Sprintf("k%d", i), []byte{byte(i)})
+		c.Put(fmt.Sprintf("k%d", i), RawJSON{byte(i)})
 	}
 	// Touch k1 so k2 becomes the eviction victim.
 	if _, ok := c.Get("k1"); !ok {
 		t.Fatal("k1 missing before eviction")
 	}
-	c.Put("k4", []byte{4})
+	c.Put("k4", RawJSON{4})
 	if _, ok := c.Get("k2"); ok {
 		t.Error("k2 should have been evicted as least recently used")
 	}
@@ -31,11 +31,11 @@ func TestCacheLRUEviction(t *testing.T) {
 
 func TestCachePutRefreshes(t *testing.T) {
 	c := newLRUCache(2)
-	c.Put("a", []byte{1})
-	c.Put("b", []byte{2})
-	c.Put("a", []byte{3}) // refresh both value and recency
-	c.Put("c", []byte{4}) // evicts b, not a
-	if v, ok := c.Get("a"); !ok || v[0] != 3 {
+	c.Put("a", RawJSON{1})
+	c.Put("b", RawJSON{2})
+	c.Put("a", RawJSON{3}) // refresh both value and recency
+	c.Put("c", RawJSON{4}) // evicts b, not a
+	if v, ok := c.Get("a"); !ok || v.(RawJSON)[0] != 3 {
 		t.Errorf("a = %v, %v; want updated value 3", v, ok)
 	}
 	if _, ok := c.Get("b"); ok {
@@ -52,8 +52,8 @@ func TestCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				k := fmt.Sprintf("k%d", (g+i)%32)
-				c.Put(k, []byte(k))
-				if v, ok := c.Get(k); ok && string(v) != k {
+				c.Put(k, RawJSON(k))
+				if v, ok := c.Get(k); ok && string(v.(RawJSON)) != k {
 					t.Errorf("got %q for key %q", v, k)
 				}
 			}

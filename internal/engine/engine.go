@@ -14,7 +14,7 @@ import (
 
 // Defaults for Options zero values.
 const (
-	// DefaultCacheSize bounds the artifact cache.
+	// DefaultCacheSize bounds the artifact cache, in artifacts.
 	DefaultCacheSize = 1024
 	// DefaultQueueDepth bounds how many distinct cold solves may wait for a
 	// worker before the engine sheds load with ErrQueueFull. Joiners of an
@@ -64,9 +64,9 @@ func IsInvalidSpec(err error) bool {
 type Result struct {
 	// Fingerprint is the artifact's cache key (Spec.Fingerprint).
 	Fingerprint string
-	// Value is the serialized artifact, byte-identical for every caller of
-	// the same fingerprint.
-	Value []byte
+	// Value is the solved artifact, the same shared value for every caller
+	// of the same fingerprint.
+	Value Artifact
 	// CacheHit reports whether the artifact was served from the warm cache
 	// without waiting on any solver.
 	CacheHit bool
@@ -83,7 +83,7 @@ type call struct {
 	key  string
 	kind string
 	done chan struct{}
-	val  []byte
+	val  Artifact
 	err  error
 	// cached marks calls resolved by the worker's cache double-check: the
 	// artifact landed between the requester's miss and the dequeue, so no
@@ -320,7 +320,7 @@ func (e *Engine) run(c *call) {
 	e.cacheMisses.Add(1)
 	e.solves.Add(1)
 	e.counters(c.kind).solves.Add(1)
-	val, err := c.spec.Solve(context.Background())
+	val, err := c.spec.SolveArtifact(context.Background())
 	if err != nil {
 		c.err = err
 		return

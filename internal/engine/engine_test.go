@@ -37,7 +37,9 @@ func (s *fakeSpec) Fingerprint() (string, error) {
 	return s.kind + "/test:" + s.id, nil
 }
 
-func (s *fakeSpec) Solve(ctx context.Context) ([]byte, error) {
+func (s *fakeSpec) Solve(ctx context.Context) ([]byte, error) { return Encode(s.SolveArtifact(ctx)) }
+
+func (s *fakeSpec) SolveArtifact(ctx context.Context) (Artifact, error) {
 	if s.solves != nil {
 		s.solves.Add(1)
 	}
@@ -50,7 +52,7 @@ func (s *fakeSpec) Solve(ctx context.Context) ([]byte, error) {
 	if s.fail != nil {
 		return nil, s.fail
 	}
-	return []byte("artifact:" + s.id), nil
+	return RawJSON("artifact:" + s.id), nil
 }
 
 func newTestEngine(t *testing.T, opts Options) *Engine {
@@ -76,7 +78,7 @@ func TestOneWorkerManyCallers(t *testing.T) {
 			res, err := e.Solve(context.Background(), &fakeSpec{kind: "a", id: fmt.Sprint(i)})
 			errs[i] = err
 			if res != nil {
-				vals[i] = res.Value
+				vals[i] = res.Value.AppendJSON(nil)
 			}
 		}(i)
 	}
@@ -138,7 +140,7 @@ func TestSingleflightOneSolve(t *testing.T) {
 	}
 	first := results[0]
 	for i, r := range results {
-		if string(r.Value) != string(first.Value) {
+		if string(r.Value.AppendJSON(nil)) != string(first.Value.AppendJSON(nil)) {
 			t.Fatalf("caller %d artifact differs", i)
 		}
 		if r.Fingerprint != first.Fingerprint {
@@ -271,7 +273,7 @@ func TestSolverPanicContained(t *testing.T) {
 		t.Fatalf("err = %v, want a contained panic error", err)
 	}
 	res, err := e.Solve(context.Background(), &fakeSpec{kind: "a", id: "boom"})
-	if err != nil || string(res.Value) != "artifact:boom" {
+	if err != nil || string(res.Value.AppendJSON(nil)) != "artifact:boom" {
 		t.Fatalf("key unusable after panic: %v, %v", res, err)
 	}
 }

@@ -15,11 +15,11 @@ type orderSpec struct {
 	log *[]string
 }
 
-func (s *orderSpec) Solve(ctx context.Context) ([]byte, error) {
+func (s *orderSpec) SolveArtifact(ctx context.Context) (Artifact, error) {
 	s.mu.Lock()
 	*s.log = append(*s.log, s.id)
 	s.mu.Unlock()
-	return s.fakeSpec.Solve(ctx)
+	return s.fakeSpec.SolveArtifact(ctx)
 }
 
 // TestSolveBatchSharesCacheAndFlight: the background lane is the same

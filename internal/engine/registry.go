@@ -33,11 +33,44 @@ type Spec interface {
 	// artifact. Equal problems must map to equal fingerprints across
 	// processes and runs. Fingerprinting an invalid spec is an error.
 	Fingerprint() (string, error)
-	// Solve computes the serialized artifact. It runs on an engine worker
-	// goroutine; implementations may ignore ctx if their solvers are not
-	// interruptible (the engine lets solves run to completion to warm the
-	// cache even after the requester gives up).
+	// SolveArtifact computes the solved artifact: the one in-memory form
+	// the engine caches and every consumer reads. It runs on an engine
+	// worker goroutine; implementations may ignore ctx if their solvers are
+	// not interruptible (the engine lets solves run to completion to warm
+	// the cache even after the requester gives up).
+	SolveArtifact(ctx context.Context) (Artifact, error)
+	// Solve returns the artifact's wire bytes: SolveArtifact followed by
+	// AppendJSON(nil) (see Encode). The engine never calls it.
 	Solve(ctx context.Context) ([]byte, error)
+}
+
+// Artifact is a solved problem as the engine caches it. Each kind keeps
+// the layout its consumers read (the campaign runtime quotes straight from
+// a deadline artifact's price table) and writes its wire form on demand.
+// Artifacts are immutable once returned by SolveArtifact, so one value is
+// shared by every caller of its fingerprint.
+type Artifact interface {
+	// AppendJSON appends the artifact's canonical JSON to dst and returns
+	// the extended slice. The bytes must be compact and exactly what
+	// encoding/json would write for the wire type, so a response can carry
+	// them without a re-compacting pass.
+	AppendJSON(dst []byte) []byte
+}
+
+// RawJSON is an Artifact whose in-memory form is its wire bytes, for
+// small artifacts no consumer reads field by field.
+type RawJSON []byte
+
+// AppendJSON implements Artifact.
+func (r RawJSON) AppendJSON(dst []byte) []byte { return append(dst, r...) }
+
+// Encode turns a SolveArtifact result into wire bytes; a Spec's Solve is
+// `return engine.Encode(s.SolveArtifact(ctx))`.
+func Encode(a Artifact, err error) ([]byte, error) {
+	if err != nil {
+		return nil, err
+	}
+	return a.AppendJSON(nil), nil
 }
 
 // Tunable is optionally implemented by Specs whose solver accepts an

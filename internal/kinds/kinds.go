@@ -159,13 +159,18 @@ func (r *DeadlineRequest) Fingerprint() (string, error) {
 	return "deadline/efficient:" + fp, nil
 }
 
-// Solve implements engine.Spec, running Algorithm 2 (ImprovedDP).
-func (r *DeadlineRequest) Solve(ctx context.Context) ([]byte, error) {
+// SolveArtifact implements engine.Spec, running Algorithm 2 (ImprovedDP).
+func (r *DeadlineRequest) SolveArtifact(ctx context.Context) (engine.Artifact, error) {
 	pol, err := r.problem().SolveEfficient()
 	if err != nil {
 		return nil, err
 	}
-	return json.Marshal(pol)
+	return newDeadlineArtifact(pol)
+}
+
+// Solve implements engine.Spec: the core.DeadlinePolicy JSON document.
+func (r *DeadlineRequest) Solve(ctx context.Context) ([]byte, error) {
+	return engine.Encode(r.SolveArtifact(ctx))
 }
 
 // Budget solve methods.
@@ -266,8 +271,10 @@ func (r *BudgetRequest) Fingerprint() (string, error) {
 	return "budget/" + method + ":" + fp, nil
 }
 
-// Solve implements engine.Spec.
-func (r *BudgetRequest) Solve(ctx context.Context) ([]byte, error) {
+// SolveArtifact implements engine.Spec. A budget strategy is a few
+// hundred bytes no consumer reads field by field, so its artifact is its
+// wire bytes.
+func (r *BudgetRequest) SolveArtifact(ctx context.Context) (engine.Artifact, error) {
 	method, err := r.method()
 	if err != nil {
 		return nil, err
@@ -282,11 +289,20 @@ func (r *BudgetRequest) Solve(ctx context.Context) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return json.Marshal(BudgetStrategy{
+	b, err := json.Marshal(BudgetStrategy{
 		Counts:                 strat.Counts,
 		TotalCost:              strat.TotalCost(),
 		ExpectedWorkerArrivals: strat.ExpectedWorkerArrivals(p.Accept),
 	})
+	if err != nil {
+		return nil, err
+	}
+	return engine.RawJSON(b), nil
+}
+
+// Solve implements engine.Spec: the BudgetStrategy JSON document.
+func (r *BudgetRequest) Solve(ctx context.Context) ([]byte, error) {
+	return engine.Encode(r.SolveArtifact(ctx))
 }
 
 // BudgetStrategy is the solved allocation: how many tasks to post at each
@@ -393,8 +409,8 @@ func (r *TradeoffRequest) Fingerprint() (string, error) {
 	return "tradeoff/" + form + ":" + fp, nil
 }
 
-// Solve implements engine.Spec.
-func (r *TradeoffRequest) Solve(ctx context.Context) ([]byte, error) {
+// SolveArtifact implements engine.Spec.
+func (r *TradeoffRequest) SolveArtifact(ctx context.Context) (engine.Artifact, error) {
 	form, err := r.formulation()
 	if err != nil {
 		return nil, err
@@ -409,7 +425,12 @@ func (r *TradeoffRequest) Solve(ctx context.Context) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return json.Marshal(TradeoffSchedule{Price: pol.Price, Value: pol.Value})
+	return newTradeoffArtifact(pol, r.N)
+}
+
+// Solve implements engine.Spec: the TradeoffSchedule JSON document.
+func (r *TradeoffRequest) Solve(ctx context.Context) ([]byte, error) {
+	return engine.Encode(r.SolveArtifact(ctx))
 }
 
 // TradeoffSchedule is the solved stationary policy: Price[n] is the reward
@@ -513,23 +534,19 @@ func (r *MultiRequest) Fingerprint() (string, error) {
 	return "multi/joint:" + fp, nil
 }
 
-// Solve implements engine.Spec, running the joint backward induction over
-// the k-type state space.
-func (r *MultiRequest) Solve(ctx context.Context) ([]byte, error) {
+// SolveArtifact implements engine.Spec, running the joint backward
+// induction over the k-type state space.
+func (r *MultiRequest) SolveArtifact(ctx context.Context) (engine.Artifact, error) {
 	pol, err := r.problem().Solve()
 	if err != nil {
 		return nil, err
 	}
-	// The initial state (every count at its maximum) is the last index in
-	// the row-major layout, so Opt[0]'s final entry is the expected total
-	// objective of the whole run.
-	start := len(pol.Opt[0]) - 1
-	return json.Marshal(MultiSchedule{
-		Counts:    r.Counts,
-		Intervals: r.Intervals,
-		Prices:    pol.Prices,
-		Value:     pol.Opt[0][start],
-	})
+	return newMultiArtifact(pol, r.Counts, r.Intervals)
+}
+
+// Solve implements engine.Spec: the MultiSchedule JSON document.
+func (r *MultiRequest) Solve(ctx context.Context) ([]byte, error) {
+	return engine.Encode(r.SolveArtifact(ctx))
 }
 
 // MultiSchedule is the solved general-k policy on the wire: Prices[t][s] is

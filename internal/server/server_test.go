@@ -439,13 +439,16 @@ func (s *stubSpec) Fingerprint() (string, error) {
 	return "stub/test:" + s.ID, nil
 }
 func (s *stubSpec) Solve(ctx context.Context) ([]byte, error) {
+	return engine.Encode(s.SolveArtifact(ctx))
+}
+func (s *stubSpec) SolveArtifact(ctx context.Context) (engine.Artifact, error) {
 	if s.Block && s.gate != nil {
 		<-s.gate
 	}
 	if s.Panic {
 		panic("boom")
 	}
-	return []byte(`{"ok":"` + s.ID + `"}`), nil
+	return engine.RawJSON(`{"ok":"` + s.ID + `"}`), nil
 }
 
 // stubRegistry serves only the stub kind; gate is shared by every decoded

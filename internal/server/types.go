@@ -72,10 +72,12 @@ const (
 )
 
 // SolveResponse is the envelope every solve endpoint returns. Result holds
-// the solved artifact exactly as cached — a core.DeadlinePolicy JSON
-// document for deadline requests, a BudgetStrategy for budget requests, and
-// so on — so concurrent and repeated requests for the same problem receive
-// byte-identical artifacts.
+// the wire form of the solved artifact the engine caches — a
+// core.DeadlinePolicy JSON document for deadline requests, a
+// BudgetStrategy for budget requests, and so on. The daemon appends it
+// from the cached typed artifact (engine.Artifact.AppendJSON) straight
+// into the response, so concurrent and repeated requests for the same
+// problem receive byte-identical artifacts.
 type SolveResponse struct {
 	// Kind is the problem kind that produced Result ("deadline", "budget",
 	// "tradeoff", "multi", …).

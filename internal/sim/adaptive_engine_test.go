@@ -29,7 +29,7 @@ func engineSolvedProblem(t *testing.T, seed int64) (*core.DeadlineProblem, *core
 		t.Fatal(err)
 	}
 	var pol core.DeadlinePolicy
-	if err := json.Unmarshal(res.Value, &pol); err != nil {
+	if err := json.Unmarshal(res.Value.AppendJSON(nil), &pol); err != nil {
 		t.Fatal(err)
 	}
 	return pol.Problem, &pol
@@ -105,7 +105,7 @@ func TestAdaptiveBankMatchesEngineScaledSolves(t *testing.T) {
 		t.Fatal(err)
 	}
 	var basePol core.DeadlinePolicy
-	if err := json.Unmarshal(res.Value, &basePol); err != nil {
+	if err := json.Unmarshal(res.Value.AppendJSON(nil), &basePol); err != nil {
 		t.Fatal(err)
 	}
 
@@ -126,7 +126,7 @@ func TestAdaptiveBankMatchesEngineScaledSolves(t *testing.T) {
 			t.Fatal(err)
 		}
 		var enginePol core.DeadlinePolicy
-		if err := json.Unmarshal(res.Value, &enginePol); err != nil {
+		if err := json.Unmarshal(res.Value.AppendJSON(nil), &enginePol); err != nil {
 			t.Fatal(err)
 		}
 		bankPol := bank.policyFor(f)

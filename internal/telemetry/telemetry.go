@@ -46,8 +46,11 @@ const (
 	// StageSolve is time on an engine worker (or waiting on the joined
 	// in-flight solve of an identical request).
 	StageSolve
-	// StageQuoterDecode is policy-table decode in the campaign intern
-	// layer — first decode or a re-decode after a budget eviction.
+	// StageQuoterDecode is building a campaign quoter view over the
+	// engine's solved artifact in the intern layer — the first build or a
+	// rebuild after a budget eviction. The view shares the artifact's price
+	// table, so this is a type switch and a small allocation; the name is
+	// kept from when the step parsed the artifact's JSON.
 	StageQuoterDecode
 	// StageLockHold is the per-campaign mutex: acquisition wait plus the
 	// O(1) critical section of an observe or quote.
