@@ -70,16 +70,6 @@
 //	-campaign-ttl duration
 //	      expire campaigns idle for this long; negative never expires
 //	      (default 30m0s)
-//	-quoter-memory-budget int
-//	      byte budget for campaign policy tables; identical campaigns
-//	      always share one interned table, and over budget the
-//	      least-recently-quoted tables are dropped and rebuilt from the
-//	      engine's cached artifacts on next use (default 0 = unlimited)
-//	-lazy-bank
-//	      solve only an adaptive campaign's starting factor at create;
-//	      neighboring factors solve in the background the first time the
-//	      rate estimate drifts to them (default false: pre-solve the whole
-//	      bank on the engine's background lane)
 //	-wal-dir string
 //	      campaign event-log directory: replayed at boot, appended while
 //	      serving ("" disables durability)
@@ -140,8 +130,6 @@ func main() {
 	queueDepth := flag.Int("queue", server.DefaultQueueDepth, "admission queue depth; overflow is shed with HTTP 429")
 	timeout := flag.Duration("timeout", server.DefaultRequestTimeout, "per-request solve timeout")
 	campaignTTL := flag.Duration("campaign-ttl", campaign.DefaultTTL, "expire campaigns idle for this long; negative never expires")
-	quoterBudget := flag.Int64("quoter-memory-budget", 0, "byte budget for decoded campaign policy tables; 0 means unlimited")
-	lazyBank := flag.Bool("lazy-bank", false, "solve adaptive bank factors on first use instead of at create")
 	walDir := flag.String("wal-dir", "", `campaign event-log directory: replayed at boot, appended while serving ("" disables durability)`)
 	walSync := flag.Duration("wal-sync-interval", wal.DefaultSyncInterval, "group-commit fsync window for the campaign event log")
 	traceRequests := flag.Int("trace-requests", telemetry.DefaultKeep, "slowest recent request traces retained on /debug/requests; 0 disables tracing")
@@ -177,18 +165,16 @@ func main() {
 		traceBuffer = -1
 	}
 	srv := server.New(server.Options{
-		CacheSize:          *cacheSize,
-		SolverWorkers:      *workers,
-		RequestTimeout:     *timeout,
-		Workers:            *concurrency,
-		QueueDepth:         *queueDepth,
-		CampaignTTL:        *campaignTTL,
-		QuoterMemoryBudget: *quoterBudget,
-		LazyBank:           *lazyBank,
-		TraceBuffer:        traceBuffer,
-		TraceSeed:          *traceSeed,
-		AnalyticsWindow:    *analyticsWindow,
-		Logger:             logger,
+		CacheSize:       *cacheSize,
+		SolverWorkers:   *workers,
+		RequestTimeout:  *timeout,
+		Workers:         *concurrency,
+		QueueDepth:      *queueDepth,
+		CampaignTTL:     *campaignTTL,
+		TraceBuffer:     traceBuffer,
+		TraceSeed:       *traceSeed,
+		AnalyticsWindow: *analyticsWindow,
+		Logger:          logger,
 	})
 	defer srv.Close()
 

@@ -252,8 +252,8 @@ func TestCampaignDedupSchedule(t *testing.T) {
 
 // TestCampaignDedupScenarioSmoke runs the high-dedup campaign workload and
 // checks the server's intern layer stayed clean across the full HTTP
-// lifecycle: tables were interned, and the run ends with zero interned
-// quoters and zero resident bytes — the refcount-hygiene fence. (Sessions
+// lifecycle: policies were interned, and the run ends with zero interned
+// quoters — the refcount-hygiene fence. (Sessions
 // here are short enough that concurrent overlap — intern hits — is not
 // guaranteed; the sharing guarantees are fenced in internal/campaign.)
 func TestCampaignDedupScenarioSmoke(t *testing.T) {
@@ -276,8 +276,7 @@ func TestCampaignDedupScenarioSmoke(t *testing.T) {
 	if m.QuoterInternMisses == 0 {
 		t.Error("no tables were ever interned by the campaign workload")
 	}
-	if m.QuoterInterned != 0 || m.QuoterResidentBytes != 0 {
-		t.Errorf("run left %d interned quoters holding %d bytes; finished sessions must release their tables",
-			m.QuoterInterned, m.QuoterResidentBytes)
+	if m.QuoterInterned != 0 {
+		t.Errorf("run left %d interned quoters; finished sessions must release their policies", m.QuoterInterned)
 	}
 }

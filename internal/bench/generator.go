@@ -171,8 +171,8 @@ type Config struct {
 	// CampaignDedup is the fraction of campaign sessions redirected onto one
 	// shared problem body per kind (campaign scenario only; 0 = every session
 	// draws from the full Cardinality). High values model many tenants
-	// pricing the same batch — the regime the server's quoter intern table
-	// collapses to one decoded policy table.
+	// pricing the same batch — the regime the server's quoter live set
+	// collapses to one shared policy artifact.
 	CampaignDedup float64 `json:"campaign_dedup,omitempty"`
 }
 

@@ -10,12 +10,12 @@
 // and Quote are O(1) updates and table lookups under a per-campaign mutex,
 // while every expensive solve — the initial policy and the adaptive bank's
 // per-factor policies — runs through internal/engine's admission-controlled
-// scheduler before the campaign goes live. Campaigns quote from views over
-// the solved artifact's int32 price table, held in a fingerprint-keyed
-// intern table (intern.go): identical campaigns share one view, and under
-// a byte budget cold views are dropped and lazily rebuilt from the
-// engine's cached artifact — the one case where a quote may wait on a
-// solve, and it does so outside the campaign's mutex.
+// scheduler before the campaign goes live, so a quote never waits on a
+// solve. Campaigns quote straight from the engine's solved artifact (its
+// int32 price table), held in a fingerprint-keyed, refcounted live set
+// (intern.go): identical campaigns share one artifact, and a policy a live
+// campaign holds is never re-solved or copied, even after the engine's
+// cache evicts it.
 //
 // A Manager owns the campaign table: create/observe/quote/finish lifecycle,
 // TTL expiry of abandoned campaigns, Prometheus-style counters, and an
@@ -120,12 +120,11 @@ type campaign struct {
 	// fingerprint identifies the base solved artifact.
 	fingerprint string
 
-	// static policy path: bank has exactly one interned handle and factors
-	// is nil. adaptive path: bank[i] is the handle for factors[i],
+	// static policy path: bank has exactly one interned entry and factors
+	// is nil. adaptive path: bank[i] is the entry for factors[i],
 	// baseLambdas the unscaled per-interval expectations, window the
-	// estimate length. Handles are refcounted by the manager's intern
-	// table; the tables behind them may be shared across campaigns and
-	// evicted/rebuilt under the byte budget.
+	// estimate length. Entries are refcounted by the manager's intern
+	// table and may be shared across campaigns.
 	bank        []*internedQuoter
 	factors     []float64
 	window      int
@@ -156,7 +155,7 @@ type campaign struct {
 	lastLSN uint64
 }
 
-// active returns the interned handle the campaign currently follows.
+// active returns the interned policy the campaign currently follows.
 // Callers hold mu.
 func (c *campaign) active() *internedQuoter { return c.bank[c.activeIdx] }
 
@@ -230,12 +229,10 @@ func (c *campaign) replanLocked() {
 
 // quoteLocked is the hot path: one table lookup in the active policy,
 // appended into the campaign's reusable scratch so a warm quote performs
-// zero heap allocations. tab is the active handle's decoded table, loaded
-// by the caller (Manager.Quote resolves evictions outside this lock).
-// Callers hold mu.
-func (c *campaign) quoteLocked(tab Quoter) []int {
+// zero heap allocations. Callers hold mu.
+func (c *campaign) quoteLocked() []int {
 	c.quotes++
-	c.quoteBuf = tab.AppendQuote(c.quoteBuf[:0], c.remaining, c.interval)
+	c.quoteBuf = c.active().AppendQuote(c.quoteBuf[:0], c.remaining, c.interval)
 	return c.quoteBuf
 }
 

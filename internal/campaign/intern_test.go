@@ -42,22 +42,17 @@ func warmQuoteAllocs(t *testing.T, m *Manager, id string) float64 {
 	}
 	return testing.AllocsPerRun(200, func() {
 		c.mu.Lock()
-		tab := c.active().load()
-		if tab == nil {
-			c.mu.Unlock()
-			t.Fatal("table not resident in a warm-quote fence")
-		}
-		c.active().touch()
-		_ = c.quoteLocked(tab)
+		_ = c.quoteLocked()
 		c.mu.Unlock()
 	})
 }
 
-// TestWarmQuoteAllocs is the satellite fence: a warm quote — deadline and
-// multi, the single- and multi-type table layouts — performs zero heap
-// allocations.
+// TestWarmQuoteAllocs is the satellite fence: a warm quote — deadline,
+// multi and tradeoff, the time-indexed, multi-type and stationary table
+// layouts, plus an adaptive campaign after a re-plan — performs zero heap
+// allocations, and quoting never reaches the solver.
 func TestWarmQuoteAllocs(t *testing.T) {
-	m, _ := newInternManager(t, Options{})
+	m, eng := newInternManager(t, Options{})
 
 	deadline, err := m.Create(context.Background(), kinds.KindDeadline,
 		sampleRequest(t, kinds.KindDeadline, 3, "small"), nil)
@@ -75,6 +70,87 @@ func TestWarmQuoteAllocs(t *testing.T) {
 	}
 	if allocs := warmQuoteAllocs(t, m, multi.ID); allocs != 0 {
 		t.Errorf("warm multi quote allocates %.1f objects/op, want 0", allocs)
+	}
+
+	tradeoff, err := m.Create(context.Background(), kinds.KindTradeoff,
+		sampleRequest(t, kinds.KindTradeoff, 3, "small"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := warmQuoteAllocs(t, m, tradeoff.ID); allocs != 0 {
+		t.Errorf("warm tradeoff quote allocates %.1f objects/op, want 0", allocs)
+	}
+
+	req := sampleRequest(t, kinds.KindDeadline, 11, "small")
+	adaptive, err := m.Create(context.Background(), kinds.KindDeadline, req, &AdaptiveOptions{WindowIntervals: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	driftObserve(t, m, adaptive.ID, req, 3)
+	if st, err := m.State(adaptive.ID); err != nil {
+		t.Fatal(err)
+	} else if st.Replans == 0 || st.ActiveFactor == 1 {
+		t.Fatalf("drift did not re-plan the adaptive campaign (replans %d, factor %v)", st.Replans, st.ActiveFactor)
+	}
+	if allocs := warmQuoteAllocs(t, m, adaptive.ID); allocs != 0 {
+		t.Errorf("warm adaptive quote after a re-plan allocates %.1f objects/op, want 0", allocs)
+	}
+
+	solves := eng.Metrics().Solves
+	ids := []string{deadline.ID, multi.ID, tradeoff.ID, adaptive.ID}
+	for i := 0; i < 1000; i++ {
+		if _, err := m.Quote(ids[i%len(ids)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := eng.Metrics().Solves; after != solves {
+		t.Errorf("1,000 quotes after create ran %d solver executions, want 0", after-solves)
+	}
+}
+
+// TestHeldPolicySurvivesEngineEviction pins why the live set exists: a
+// policy a live campaign holds is neither re-solved nor copied after the
+// engine's LRU evicts it. With a one-artifact engine cache, solving B
+// evicts A; a second campaign on A must land on the first one's artifact.
+func TestHeldPolicySurvivesEngineEviction(t *testing.T) {
+	eng := engine.New(engine.Options{Workers: 2, CacheSize: 1})
+	t.Cleanup(eng.Close)
+	m := NewManager(eng, nil, Options{})
+	t.Cleanup(m.Close)
+
+	reqA := sampleRequest(t, kinds.KindDeadline, 31, "small")
+	first, err := m.Create(context.Background(), kinds.KindDeadline, reqA, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specB, err := m.decodeSpec(kinds.KindDeadline, sampleRequest(t, kinds.KindDeadline, 32, "small"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Solve(context.Background(), specB); err != nil {
+		t.Fatal(err)
+	}
+	second, err := m.Create(context.Background(), kinds.KindDeadline, reqA, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if solves := eng.Metrics().Solves; solves != 2 {
+		t.Errorf("engine ran %d solves, want 2 (A once, B once)", solves)
+	}
+	if is := m.intern.stats(); is.interned != 1 {
+		t.Errorf("%d interned entries, want 1 (A)", is.interned)
+	}
+	c1, err := m.get(first.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c2, err := m.get(second.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c1.active().Quoter != c2.active().Quoter {
+		t.Error("the two campaigns on A hold different artifacts")
 	}
 }
 
@@ -144,8 +220,8 @@ func TestConcurrentIdenticalAdaptiveCreatesShareBank(t *testing.T) {
 	if _, err := m.Finish(ids[n-1]); err != nil {
 		t.Fatal(err)
 	}
-	if is := m.intern.stats(); is.interned != 0 || is.residentBytes != 0 {
-		t.Errorf("after the last finish: %d interned, %d resident bytes, want 0/0", is.interned, is.residentBytes)
+	if is := m.intern.stats(); is.interned != 0 {
+		t.Errorf("after the last finish: %d interned, want 0", is.interned)
 	}
 }
 
@@ -244,139 +320,59 @@ func TestWALReplayLandsOnInternedTables(t *testing.T) {
 	}
 }
 
-// TestEvictionRedecodeRoundTrip: under a budget too small for two tables,
-// alternating quotes across two campaigns must keep evicting and lazily
-// re-decoding — and every quote must stay bit-identical to an unbudgeted
-// manager's.
-func TestEvictionRedecodeRoundTrip(t *testing.T) {
-	free, _ := newInternManager(t, Options{})
-	tight, _ := newInternManager(t, Options{QuoterMemoryBudget: 1})
-
-	reqA := sampleRequest(t, kinds.KindDeadline, 21, "small")
-	reqB := sampleRequest(t, kinds.KindDeadline, 22, "small")
-	var freeIDs, tightIDs []string
-	for _, req := range []json.RawMessage{reqA, reqB} {
-		stF, err := free.Create(context.Background(), kinds.KindDeadline, req, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		freeIDs = append(freeIDs, stF.ID)
-		stT, err := tight.Create(context.Background(), kinds.KindDeadline, req, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tightIDs = append(tightIDs, stT.ID)
-	}
-
-	// A one-byte budget keeps at most the single most-recent table resident
-	// (a lone over-budget table is never evicted), so alternating campaigns
-	// forces an eviction + re-decode per switch.
-	for round := 0; round < 4; round++ {
-		for i := range tightIDs {
-			qT, err := tight.Quote(tightIDs[i])
-			if err != nil {
-				t.Fatal(err)
-			}
-			qF, err := free.Quote(freeIDs[i])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if qT.Price != qF.Price {
-				t.Fatalf("round %d campaign %d: budgeted quote %d, unbudgeted %d", round, i, qT.Price, qF.Price)
-			}
-			if _, err := tight.Observe(tightIDs[i], 10, []int{1}); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := free.Observe(freeIDs[i], 10, []int{1}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	is := tight.intern.stats()
-	if is.redecodes == 0 {
-		t.Error("no re-decodes under a one-byte budget; eviction never happened")
-	}
-	if fis := free.intern.stats(); fis.redecodes != 0 {
-		t.Errorf("unbudgeted manager re-decoded %d times", fis.redecodes)
-	}
-}
-
 // TestInternedBankMemoryBound is the acceptance fence: 1,000 identical
-// adaptive campaigns must hold resident quoter bytes within 2× of ONE
-// campaign's footprint — O(distinct problems), not O(campaigns).
+// adaptive campaigns hold one interned entry per bank factor —
+// O(distinct problems), not O(campaigns) — and every bank slot is the
+// engine's own artifact, not a copy of it.
 func TestInternedBankMemoryBound(t *testing.T) {
-	m, _ := newInternManager(t, Options{})
+	m, eng := newInternManager(t, Options{})
 	req := sampleRequest(t, kinds.KindDeadline, 4, "small")
 	adaptive := &AdaptiveOptions{WindowIntervals: 2}
+	factors := defaultFactors()
 
-	if _, err := m.Create(context.Background(), kinds.KindDeadline, req, adaptive); err != nil {
-		t.Fatal(err)
-	}
-	one := m.intern.stats().residentBytes
-	if one <= 0 {
-		t.Fatalf("one campaign holds %d resident bytes", one)
-	}
-	for i := 1; i < 1000; i++ {
-		if _, err := m.Create(context.Background(), kinds.KindDeadline, req, adaptive); err != nil {
+	ids := make([]string, 1000)
+	for i := range ids {
+		st, err := m.Create(context.Background(), kinds.KindDeadline, req, adaptive)
+		if err != nil {
 			t.Fatal(err)
 		}
+		ids[i] = st.ID
 	}
-	all := m.intern.stats().residentBytes
-	t.Logf("resident quoter bytes: 1 campaign %d, 1000 campaigns %d", one, all)
-	if all > 2*one {
-		t.Fatalf("1000 identical adaptive campaigns hold %d resident bytes, over 2× one campaign's %d", all, one)
+	if is := m.intern.stats(); is.interned != int64(len(factors)) {
+		t.Fatalf("1000 identical adaptive campaigns intern %d entries, want %d (one per factor)",
+			is.interned, len(factors))
 	}
-}
 
-// TestLazyBankSolvesOnDemand: under Options.LazyBank a create solves ONE
-// factor; the estimate's drift to a neighbor triggers that factor's solve
-// (async prefetch or quote-path ensure), and the price matches an eagerly
-// built bank's bit for bit.
-func TestLazyBankSolvesOnDemand(t *testing.T) {
-	lazy, lazyEng := newInternManager(t, Options{LazyBank: true})
-	eager, _ := newInternManager(t, Options{})
-	req := sampleRequest(t, kinds.KindDeadline, 11, "small")
-	adaptive := &AdaptiveOptions{WindowIntervals: 3}
-
-	stL, err := lazy.Create(context.Background(), kinds.KindDeadline, req, adaptive)
+	spec, err := m.decodeSpec(kinds.KindDeadline, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if solves := lazyEng.Metrics().Solves; solves != 1 {
-		t.Errorf("lazy create cost %d solves, want 1 (the starting factor)", solves)
+	base := spec.(*kinds.DeadlineRequest)
+	artifacts := make([]any, len(factors))
+	for i, f := range factors {
+		scaled := *base
+		scaled.Lambdas = make([]float64, len(base.Lambdas))
+		for k, l := range base.Lambdas {
+			scaled.Lambdas[k] = l * f
+		}
+		res, err := eng.Solve(context.Background(), &scaled)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.CacheHit {
+			t.Fatalf("factor %g: engine re-solved a bank policy", f)
+		}
+		artifacts[i] = res.Value
 	}
-	stE, err := eager.Create(context.Background(), kinds.KindDeadline, req, adaptive)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Unsolved slots still answer shape queries from the prefilled meta.
-	if qL, qE := quoteAll(t, lazy, []string{stL.ID})[0], quoteAll(t, eager, []string{stE.ID})[0]; qL.Price != qE.Price {
-		t.Fatalf("pre-drift lazy quote %d, eager %d", qL.Price, qE.Price)
-	}
-
-	// Drive the estimate off the starting factor; the quote path must land
-	// on the neighbor's freshly solved table either via the Observe-time
-	// prefetch or its own ensure.
-	driftObserve(t, lazy, stL.ID, req, 3)
-	driftObserve(t, eager, stE.ID, req, 3)
-	qL, err := lazy.Quote(stL.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qE, err := eager.Quote(stE.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if qL.ActiveFactor == 1.0 {
-		t.Fatal("drift did not move the lazy campaign off the starting factor")
-	}
-	if qL.Price != qE.Price || qL.ActiveFactor != qE.ActiveFactor {
-		t.Fatalf("post-drift lazy quote (%d @ factor %v), eager (%d @ factor %v)",
-			qL.Price, qL.ActiveFactor, qE.Price, qE.ActiveFactor)
-	}
-	// Lazily solved factors stay a strict subset of the full bank.
-	if lazySolves, grid := lazyEng.Metrics().Solves, int64(len(defaultFactors())); lazySolves >= grid {
-		t.Errorf("lazy bank solved %d factors, want fewer than the full %d-factor grid", lazySolves, grid)
+	for _, id := range ids {
+		c, err := m.get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, h := range c.bank {
+			if h.Quoter != artifacts[i] {
+				t.Fatalf("campaign %s bank slot %d is not the engine's artifact for factor %g", id, i, factors[i])
+			}
+		}
 	}
 }

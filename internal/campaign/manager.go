@@ -25,8 +25,8 @@ type Solver interface {
 }
 
 // batchSolver is the optional background lane: solvers that implement it
-// (the engine does) run bank pre-solves and prefetches behind interactive
-// work; others serve both from one lane.
+// (the engine does) run bank pre-solves behind interactive work; others
+// serve both from one lane.
 type batchSolver interface {
 	SolveBatch(ctx context.Context, spec engine.Spec) (*engine.Result, error)
 }
@@ -51,17 +51,6 @@ type Options struct {
 	// SweepInterval is how often the background sweeper scans for expired
 	// campaigns (0 = TTL/4 clamped to [1s, 1m]). Ignored when TTL < 0.
 	SweepInterval time.Duration
-	// QuoterMemoryBudget bounds the bytes of policy tables resident across
-	// all interned quoters (0 = unlimited). Over budget, the
-	// least-recently-quoted tables are dropped and lazily rebuilt from the
-	// engine's cached artifact on next use (a re-solve if the engine has
-	// evicted it too).
-	QuoterMemoryBudget int64
-	// LazyBank defers adaptive bank solving: only the starting factor is
-	// solved at create; a neighboring factor is solved the first time the
-	// rate estimate lands on it (prefetched on the engine's background lane,
-	// deduped through the engine and the intern table).
-	LazyBank bool
 
 	// now overrides the clock in tests.
 	now func() time.Time
@@ -75,8 +64,8 @@ type Manager struct {
 	solver   Solver
 	registry *engine.Registry
 	opts     Options
-	// intern is the policy-table memory engine: fingerprint-keyed,
-	// refcounted, byte-budget-tiered decoded tables shared across campaigns.
+	// intern is the live set of solved policies: fingerprint-keyed,
+	// refcounted engine artifacts shared across campaigns.
 	intern *internTable
 
 	mu        sync.RWMutex
@@ -135,7 +124,7 @@ func NewManager(solver Solver, reg *engine.Registry, opts Options) *Manager {
 	if bs, ok := solver.(batchSolver); ok {
 		batch = bs.SolveBatch
 	}
-	m.intern = newInternTable(opts.QuoterMemoryBudget, solver.Solve, batch)
+	m.intern = newInternTable(solver.Solve, batch)
 	if opts.TTL > 0 {
 		go m.sweeper()
 	}
@@ -190,7 +179,7 @@ func (m *Manager) ExpireIdle() int {
 	}
 	m.mu.Unlock()
 	// Return the expired campaigns' intern references outside the table
-	// lock; shared tables stay resident for their surviving holders.
+	// lock; shared policies stay live for their surviving holders.
 	sink := m.eventSink()
 	for _, c := range removed {
 		m.intern.releaseAll(c.bank)
@@ -218,34 +207,16 @@ func (m *Manager) decodeSpec(kind string, request json.RawMessage) (engine.Spec,
 	return spec, nil
 }
 
-// acquireQuoter interns one spec's policy handle and ensures its table is
-// decoded: an intern hit on a warm table costs a map lookup; a miss (or an
-// evicted table) solves through the engine — warm-cache cheap when an
-// identical problem was solved before — and decodes once. The caller owns
-// one reference on the returned handle.
-func (m *Manager) acquireQuoter(ctx context.Context, kind string, spec engine.Spec) (*internedQuoter, bool, error) {
-	h, err := m.intern.acquire(kind, spec)
-	if err != nil {
-		return nil, false, err
-	}
-	_, warm, err := h.ensure(ctx, false)
-	if err != nil {
-		m.intern.release(h)
-		return nil, false, err
-	}
-	return h, warm, nil
-}
-
-// releaseCampaign returns every bank handle's intern reference. Call it on
+// releaseCampaign returns every bank entry's intern reference. Call it on
 // every path that unregisters (or never registers) a built campaign.
 func (m *Manager) releaseCampaign(c *campaign) {
 	m.intern.releaseAll(c.bank)
 }
 
 // Create registers a new campaign: intern the policy for (kind, request) —
-// identical campaigns share one table, cold problems solve through the
-// engine — and, in adaptive mode, build the factor bank (pre-solved
-// on the engine's background lane, or lazily under Options.LazyBank).
+// identical campaigns share one artifact, cold problems solve through the
+// engine — and, in adaptive mode, build the factor bank (pre-solved on the
+// engine's background lane).
 // The returned State carries the campaign ID every other call takes.
 func (m *Manager) Create(ctx context.Context, kind string, request json.RawMessage, adaptive *AdaptiveOptions) (*State, error) {
 	// Shed a full table before any solver work: a 429 must mean "the
@@ -312,7 +283,7 @@ func (m *Manager) Create(ctx context.Context, kind string, request json.RawMessa
 
 // newCampaign builds an unregistered campaign for (kind, request) at the
 // policy's initial counts: intern the policy — identical campaigns share
-// one table, cold problems solve through the engine — and, in
+// one artifact, cold problems solve through the engine — and, in
 // adaptive mode, build the factor bank. On success the caller owns the
 // campaign's intern references and must hand them back with
 // releaseCampaign if it never registers the campaign. warm reports an
@@ -322,7 +293,7 @@ func (m *Manager) newCampaign(ctx context.Context, kind string, request json.Raw
 	if err != nil {
 		return nil, false, err
 	}
-	h, warm, err := m.acquireQuoter(ctx, kind, spec)
+	h, warm, err := m.intern.acquire(ctx, kind, spec, false)
 	if err != nil {
 		return nil, false, err
 	}
@@ -342,21 +313,20 @@ func (m *Manager) newCampaign(ctx context.Context, kind string, request json.Raw
 		}
 		// The bank's own slots hold their references now (the factor-1.0
 		// slot deduped onto h when the grid contains it); the initial
-		// handle's reference goes back.
+		// entry's reference goes back.
 		m.intern.release(h)
 	}
 	return c, warm, nil
 }
 
-// buildBank builds the adaptive factor bank: one interned handle per
-// factor of the base deadline problem with λ_t scaled, so identical banks
-// across campaigns (or across a WAL replay) share one table per factor,
-// not one per campaign. Eager mode pre-solves every factor
-// concurrently through the engine's background lane — its worker pool,
-// queue, and singleflight table are the admission control, and the lane
-// keeps the grid from monopolizing workers against interactive solves.
-// Lazy mode (Options.LazyBank) solves only the starting factor; the rest
-// solve the first time a re-plan lands on them.
+// buildBank builds the adaptive factor bank: one interned entry per factor
+// of the base deadline problem with λ_t scaled, so identical banks across
+// campaigns (or across a WAL replay) share one artifact per factor, not
+// one per campaign. Every factor is solved here, concurrently through the
+// engine's background lane — its worker pool, queue, and singleflight
+// table are the admission control, and the lane keeps the grid from
+// monopolizing workers against interactive solves — so a re-plan never
+// waits on a solve.
 func (m *Manager) buildBank(ctx context.Context, c *campaign, spec engine.Spec, adaptive *AdaptiveOptions) error {
 	base, ok := spec.(*kinds.DeadlineRequest)
 	if !ok {
@@ -366,53 +336,31 @@ func (m *Manager) buildBank(ctx context.Context, c *campaign, spec engine.Spec, 
 	if err != nil {
 		return &engine.InvalidSpecError{Err: err}
 	}
-	// Acquire every factor's handle up front (a fingerprint and a map
-	// entry each); solving is a separate, per-mode decision.
 	bank := make([]*internedQuoter, len(norm.Factors))
+	errs := make([]error, len(bank))
+	var wg sync.WaitGroup
 	for i, f := range norm.Factors {
 		scaled := *base
 		scaled.Lambdas = make([]float64, len(base.Lambdas))
 		for t, l := range base.Lambdas {
 			scaled.Lambdas[t] = l * f
 		}
-		h, err := m.intern.acquire(c.kind, &scaled)
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			bank[i], _, errs[i] = m.intern.acquire(ctx, c.kind, &scaled, true)
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
 		if err != nil {
-			m.intern.releaseAll(bank[:i])
-			return fmt.Errorf("interning adaptive bank factor %g: %w", f, err)
+			m.intern.releaseAll(bank)
+			return fmt.Errorf("solving adaptive bank factor %g: %w", norm.Factors[i], err)
 		}
-		bank[i] = h
 	}
 	// Start on the factor nearest 1.0 — the trained profile — exactly as
 	// the sim controller does before its first window closes.
 	start := nearestIndex(norm.Factors, 1)
-	if m.opts.LazyBank {
-		if _, _, err := bank[start].ensure(ctx, false); err != nil {
-			m.intern.releaseAll(bank)
-			return fmt.Errorf("solving adaptive bank factor %g: %w", norm.Factors[start], err)
-		}
-		// Unsolved slots answer Horizon/Types from the starting factor's
-		// shape — scaling λ_t moves prices, never dimensions.
-		m.intern.prefillMeta(bank, bank[start])
-	} else {
-		errs := make([]error, len(bank))
-		var wg sync.WaitGroup
-		for i := range bank {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				if _, _, err := bank[i].ensure(ctx, true); err != nil {
-					errs[i] = fmt.Errorf("solving adaptive bank factor %g: %w", norm.Factors[i], err)
-				}
-			}(i)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				m.intern.releaseAll(bank)
-				return err
-			}
-		}
-	}
 	c.bank = bank
 	c.factors = norm.Factors
 	c.window = norm.WindowIntervals
@@ -505,15 +453,6 @@ func (m *Manager) observeCampaign(tr *telemetry.Trace, c *campaign, arrivals flo
 	if sink := m.eventSink(); sink != nil {
 		sink.CampaignObserved(c.kind, c.adaptive(), arrivals, sumCompleted(completed), c.interval-1)
 	}
-	// Lazy banks: a re-plan that landed on a still-unsolved factor solves
-	// it now, asynchronously on the engine's background lane (deduped per
-	// handle), so the estimate's first drift toward a neighbor pre-warms
-	// that neighbor before the next quote needs it.
-	if c.adaptive() {
-		if h := c.active(); h.load() == nil {
-			go h.prefetch()
-		}
-	}
 	return c.stateLocked(), nil
 }
 
@@ -528,20 +467,17 @@ func sumCompleted(completed []int) int {
 }
 
 // Quote serves the policy's price for the campaign's current state — the
-// hot path: when the active table is resident, one mutex acquisition, one
-// atomic table load, and one lookup into the campaign's reusable price
-// buffer — zero heap allocations beyond the response envelope. A table
-// evicted under the memory budget (or a lazy bank slot quoted before its
-// prefetch lands) is rebuilt outside the campaign's mutex first.
+// hot path: one mutex acquisition and one lookup in the active artifact's
+// price table, into the campaign's reusable price buffer — zero heap
+// allocations beyond the response envelope. Every policy a campaign can
+// follow was solved at create, so a quote never waits on a solve.
 func (m *Manager) Quote(id string) (*Quote, error) {
 	return m.QuoteTraced(nil, id)
 }
 
 // QuoteTraced is Quote with request-tracing spans: the per-campaign
-// mutex lands on StageLockHold (in the rare evicted-table case the span
-// covers the whole quote critical path, including the re-ensure, whose
-// decode also shows separately on StageQuoterDecode). A nil trace
-// records nothing and adds nothing to the hot path beyond two nil
+// mutex (acquisition + critical section) lands on StageLockHold. A nil
+// trace records nothing and adds nothing to the hot path beyond two nil
 // checks; a live trace adds two atomic operations and zero allocations
 // (fenced by TestQuoteTracedAllocationBound).
 func (m *Manager) QuoteTraced(tr *telemetry.Trace, id string) (*Quote, error) {
@@ -550,37 +486,15 @@ func (m *Manager) QuoteTraced(tr *telemetry.Trace, id string) (*Quote, error) {
 		return nil, err
 	}
 	lockStart := tr.Now()
-	q, err := m.quoteCampaign(tr, c)
+	q := m.quoteCampaign(c)
 	tr.ObserveSince(telemetry.StageLockHold, lockStart)
-	return q, err
+	return q, nil
 }
 
-func (m *Manager) quoteCampaign(tr *telemetry.Trace, c *campaign) (*Quote, error) {
+func (m *Manager) quoteCampaign(c *campaign) *Quote {
 	c.mu.Lock()
-	h := c.active()
-	var tab Quoter = h.load()
-	for tab == nil {
-		c.mu.Unlock()
-		etab, _, err := h.ensure(telemetry.NewContext(context.Background(), tr), false)
-		if err != nil {
-			return nil, fmt.Errorf("campaign: re-decoding policy table: %w", err)
-		}
-		c.mu.Lock()
-		if c.active() == h {
-			// Quote from the table just ensured even if the budget already
-			// evicted it again — tables are immutable, so the price is the
-			// same; only recency bookkeeping would differ.
-			tab = etab
-		} else {
-			// A concurrent re-plan switched factors mid-ensure; chase the
-			// new active slot.
-			h = c.active()
-			tab = h.load()
-		}
-	}
 	defer c.mu.Unlock()
-	h.touch()
-	prices := c.quoteLocked(tab)
+	prices := c.quoteLocked()
 	c.lastTouched = m.opts.now()
 	m.quotes.Add(1)
 	q := &Quote{
@@ -599,7 +513,7 @@ func (m *Manager) quoteCampaign(tr *telemetry.Trace, c *campaign) (*Quote, error
 	if sink := m.eventSink(); sink != nil {
 		sink.CampaignQuoted(c.kind, c.adaptive(), q.Price)
 	}
-	return q, nil
+	return q
 }
 
 // State returns the campaign's current state without advancing anything.
@@ -630,7 +544,7 @@ func (m *Manager) Finish(id string) (*Summary, error) {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, id)
 	}
 	// The campaign left the table; return its intern references. Shared
-	// tables stay resident for their surviving holders.
+	// policies stay live for their surviving holders.
 	m.releaseCampaign(c)
 	if logErr != nil {
 		return nil, fmt.Errorf("campaign: logging finish: %w", logErr)
@@ -663,17 +577,13 @@ type Metrics struct {
 	Replans int64
 	Expired int64
 
-	// QuoterInterned is the number of distinct policy tables in the intern
-	// table; QuoterResidentBytes the decoded bytes currently resident
-	// across them (evicted entries count zero).
-	QuoterInterned      int64
-	QuoterResidentBytes int64
-	// QuoterInternHits / QuoterInternMisses count intern-table lookups
-	// that found / created an entry; QuoterRedecodes counts tables decoded
-	// again after a budget eviction.
+	// QuoterInterned is the number of distinct solved policies live
+	// campaigns hold.
+	QuoterInterned int64
+	// QuoterInternHits / QuoterInternMisses count intern lookups that
+	// found / published an entry.
 	QuoterInternHits   int64
 	QuoterInternMisses int64
-	QuoterRedecodes    int64
 }
 
 // Metrics returns the current counter and gauge values.
@@ -683,15 +593,13 @@ func (m *Manager) Metrics() Metrics {
 	m.mu.RUnlock()
 	is := m.intern.stats()
 	return Metrics{
-		Active:              active,
-		Created:             m.created.Load(),
-		Quotes:              m.quotes.Load(),
-		Replans:             m.replans.Load(),
-		Expired:             m.expired.Load(),
-		QuoterInterned:      is.interned,
-		QuoterResidentBytes: is.residentBytes,
-		QuoterInternHits:    is.hits,
-		QuoterInternMisses:  is.misses,
-		QuoterRedecodes:     is.redecodes,
+		Active:             active,
+		Created:            m.created.Load(),
+		Quotes:             m.quotes.Load(),
+		Replans:            m.replans.Load(),
+		Expired:            m.expired.Load(),
+		QuoterInterned:     is.interned,
+		QuoterInternHits:   is.hits,
+		QuoterInternMisses: is.misses,
 	}
 }

@@ -245,7 +245,7 @@ func (m *Manager) ReplayWAL(ctx context.Context, src WALSource) (*WALReplayStats
 	now := m.opts.now()
 	rebuilt := make([]*campaign, 0, len(ids))
 	// An abort after some campaigns were rebuilt must return their intern
-	// references, or the abandoned banks would pin decoded tables forever.
+	// references, or the abandoned banks would pin their policies forever.
 	committed := false
 	defer func() {
 		if !committed {

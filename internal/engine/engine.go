@@ -180,7 +180,7 @@ func (e *Engine) Solve(ctx context.Context, spec Spec) (*Result, error) {
 // SolveBatch is Solve on the background lane: identical semantics (cache,
 // singleflight, ErrQueueFull shedding), but the admitted call waits behind
 // all interactive work. Use it for bulk pre-solves whose latency nobody is
-// sitting on — adaptive bank factors, prefetches, warmups.
+// sitting on — adaptive bank factors, warmups.
 func (e *Engine) SolveBatch(ctx context.Context, spec Spec) (*Result, error) {
 	return e.solve(ctx, spec, e.bgQueue)
 }

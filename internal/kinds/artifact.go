@@ -11,14 +11,16 @@ import (
 )
 
 // Solved artifacts: the one in-memory form of a solved policy. The engine
-// caches these values, the campaign runtime quotes from their int32 price
-// tables in place, and the server appends their wire bytes straight into
-// the response. Each AppendJSON writes exactly what encoding/json wrote
-// for the kind's wire type (core.DeadlinePolicy, TradeoffSchedule,
-// MultiSchedule), pinned by the golden files in testdata/. Building an
-// artifact makes the checks that marshaling and decoding the JSON used to
-// make: the table dimensions match the problem, every price fits an int32
-// cell, and every float is finite (JSON has no NaN or ±Inf).
+// caches these values, the campaign runtime quotes from them directly (the
+// deadline, tradeoff and multi artifacts implement campaign.Quoter over
+// their int32 price tables), and the server appends their wire bytes
+// straight into the response. Each AppendJSON writes exactly what
+// encoding/json wrote for the kind's wire type (core.DeadlinePolicy,
+// TradeoffSchedule, MultiSchedule), pinned by the golden files in
+// testdata/. Building an artifact makes the checks that marshaling and
+// decoding the JSON used to make: the table dimensions match the problem,
+// every price fits an int32 cell, and every float is finite (JSON has no
+// NaN or ±Inf).
 
 // DeadlineArtifact is a solved Section 3 policy.
 type DeadlineArtifact struct {
@@ -136,6 +138,30 @@ func (a *DeadlineArtifact) AppendJSON(dst []byte) []byte {
 	return append(dst, "]}"...)
 }
 
+// Types, Horizon, InitialCounts and AppendQuote make the artifact a
+// campaign.Quoter. AppendQuote matches core.DeadlinePolicy.PriceAt bit for
+// bit, including its clamps and the n<=0 → MinPrice idle price.
+func (a *DeadlineArtifact) Types() int           { return 1 }
+func (a *DeadlineArtifact) Horizon() int         { return a.Problem.Intervals }
+func (a *DeadlineArtifact) InitialCounts() []int { return []int{a.Problem.N} }
+func (a *DeadlineArtifact) AppendQuote(dst []int, remaining []int, t int) []int {
+	p := &a.Problem
+	n := remaining[0]
+	if n <= 0 {
+		return append(dst, p.MinPrice)
+	}
+	if n > p.N {
+		n = p.N
+	}
+	if t < 0 {
+		t = 0
+	}
+	if t >= p.Intervals {
+		t = p.Intervals - 1
+	}
+	return append(dst, int(a.Prices[t*(p.N+1)+n]))
+}
+
 // TradeoffArtifact is a solved Section 6 stationary policy.
 type TradeoffArtifact struct {
 	// Prices[n] is the price in cents to post while n tasks remain.
@@ -169,6 +195,23 @@ func (a *TradeoffArtifact) AppendJSON(dst []byte) []byte {
 	dst = append(dst, `,"value":`...)
 	dst = appendFloats(dst, a.Value)
 	return append(dst, '}')
+}
+
+// Types, Horizon, InitialCounts and AppendQuote make the artifact a
+// campaign.Quoter. The price depends only on the remaining count, never on
+// time, so the policy has no horizon.
+func (a *TradeoffArtifact) Types() int           { return 1 }
+func (a *TradeoffArtifact) Horizon() int         { return 0 }
+func (a *TradeoffArtifact) InitialCounts() []int { return []int{len(a.Prices) - 1} }
+func (a *TradeoffArtifact) AppendQuote(dst []int, remaining []int, t int) []int {
+	n := remaining[0]
+	if n < 0 {
+		n = 0
+	}
+	if n >= len(a.Prices) {
+		n = len(a.Prices) - 1
+	}
+	return append(dst, int(a.Prices[n]))
 }
 
 // MultiArtifact is a solved general-k joint policy. Joint states are count
@@ -255,6 +298,37 @@ func (a *MultiArtifact) AppendJSON(dst []byte) []byte {
 	dst = append(dst, `],"value":`...)
 	dst = appendFloat(dst, a.Value)
 	return append(dst, '}')
+}
+
+// Types, Horizon, InitialCounts and AppendQuote make the artifact a
+// campaign.Quoter: each count clamps to [0, Counts[i]] and t to the
+// horizon.
+func (a *MultiArtifact) Types() int           { return len(a.Counts) }
+func (a *MultiArtifact) Horizon() int         { return a.Intervals }
+func (a *MultiArtifact) InitialCounts() []int { return slices.Clone(a.Counts) }
+func (a *MultiArtifact) AppendQuote(dst []int, remaining []int, t int) []int {
+	if t < 0 {
+		t = 0
+	}
+	if t >= a.Intervals {
+		t = a.Intervals - 1
+	}
+	idx := 0
+	for i, n := range remaining {
+		if n < 0 {
+			n = 0
+		}
+		if n > a.Counts[i] {
+			n = a.Counts[i]
+		}
+		idx += n * a.Strides[i]
+	}
+	k := len(a.Counts)
+	base := (t*a.States + idx) * k
+	for _, c := range a.Prices[base : base+k] {
+		dst = append(dst, int(c))
+	}
+	return dst
 }
 
 // checkFinite fails on the first NaN or ±Inf in vs, the values

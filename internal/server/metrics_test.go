@@ -76,10 +76,8 @@ func TestMetricsPrometheusConventions(t *testing.T) {
 		"crowdpricing_queue_depth",
 		"crowdpricing_inflight_solves",
 		"crowdpricing_quoter_interned",
-		"crowdpricing_quoter_resident_bytes",
 		"crowdpricing_quoter_intern_hits_total",
 		"crowdpricing_quoter_intern_misses_total",
-		"crowdpricing_quoter_redecodes_total",
 		"crowdpricing_stage_duration_seconds",
 		"crowdpricing_lambda_hat",
 		"crowdpricing_lambda_hat_lifetime",

@@ -99,14 +99,6 @@ type Options struct {
 	// CampaignTTL expires campaigns idle for longer than this
 	// (0 = campaign.DefaultTTL, 30 minutes; negative = never expire).
 	CampaignTTL time.Duration
-	// QuoterMemoryBudget bounds the bytes of policy tables resident across
-	// the campaign runtime's interned quoters (0 = unlimited). Over budget,
-	// the least-recently-quoted tables are dropped and rebuilt from the
-	// engine's cached artifact on next use.
-	QuoterMemoryBudget int64
-	// LazyBank defers adaptive bank solving to first use; see
-	// campaign.Options.LazyBank.
-	LazyBank bool
 	// TraceBuffer is how many of the slowest recent request traces
 	// /debug/requests retains (0 = telemetry.DefaultKeep; negative
 	// disables request tracing entirely, including the per-stage
@@ -188,11 +180,7 @@ func New(opts Options) *Server {
 		s.tracer = telemetry.NewTracer(opts.TraceBuffer, opts.TraceSeed)
 	}
 	s.analytics = analytics.New(opts.AnalyticsWindow)
-	s.campaigns = campaign.NewManager(s.engine, reg, campaign.Options{
-		TTL:                opts.CampaignTTL,
-		QuoterMemoryBudget: opts.QuoterMemoryBudget,
-		LazyBank:           opts.LazyBank,
-	})
+	s.campaigns = campaign.NewManager(s.engine, reg, campaign.Options{TTL: opts.CampaignTTL})
 	s.campaigns.AttachSink(s.analytics)
 	// One generic handler per registered kind: the route set is the
 	// registry, so adding a problem kind adds its endpoint with no code
@@ -330,14 +318,16 @@ type MetricsSnapshot struct {
 	CampaignQuotes   int64
 	CampaignReplans  int64
 	CampaignsExpired int64
-	// QuoterInterned and QuoterResidentBytes gauge the campaign runtime's
-	// policy-table intern layer; QuoterInternHits / QuoterInternMisses /
-	// QuoterRedecodes are its lifetime counters.
-	QuoterInterned      int64
-	QuoterResidentBytes int64
-	QuoterInternHits    int64
-	QuoterInternMisses  int64
-	QuoterRedecodes     int64
+	// QuoterInterned gauges the distinct solved policies live campaigns
+	// hold; QuoterInternHits / QuoterInternMisses are the live set's
+	// lifetime lookup counters.
+	QuoterInterned     int64
+	QuoterInternHits   int64
+	QuoterInternMisses int64
+	// QuoterRedecodes is always 0: campaigns quote from the engine's
+	// artifact and nothing is ever rebuilt. The field stays because
+	// existing benchmark tooling reads it.
+	QuoterRedecodes int64
 }
 
 // Metrics returns the current counter values.
@@ -345,26 +335,24 @@ func (s *Server) Metrics() MetricsSnapshot {
 	em := s.engine.Metrics()
 	cm := s.campaigns.Metrics()
 	return MetricsSnapshot{
-		CampaignsActive:     cm.Active,
-		CampaignQuotes:      cm.Quotes,
-		CampaignReplans:     cm.Replans,
-		CampaignsExpired:    cm.Expired,
-		QuoterInterned:      cm.QuoterInterned,
-		QuoterResidentBytes: cm.QuoterResidentBytes,
-		QuoterInternHits:    cm.QuoterInternHits,
-		QuoterInternMisses:  cm.QuoterInternMisses,
-		QuoterRedecodes:     cm.QuoterRedecodes,
-		Requests:            s.requests.Load(),
-		CacheHits:           em.CacheHits,
-		CacheMisses:         em.CacheMisses,
-		Solves:              em.Solves,
-		SingleflightShared:  em.FlightShared,
-		Errors:              s.errorCount.Load(),
-		CacheEntries:        em.CacheEntries,
-		QueueDepth:          em.QueueDepth,
-		InFlightSolves:      em.InFlight,
-		SolvesByKind:        em.SolvesByKind,
-		RejectedByKind:      em.RejectedByKind,
+		CampaignsActive:    cm.Active,
+		CampaignQuotes:     cm.Quotes,
+		CampaignReplans:    cm.Replans,
+		CampaignsExpired:   cm.Expired,
+		QuoterInterned:     cm.QuoterInterned,
+		QuoterInternHits:   cm.QuoterInternHits,
+		QuoterInternMisses: cm.QuoterInternMisses,
+		Requests:           s.requests.Load(),
+		CacheHits:          em.CacheHits,
+		CacheMisses:        em.CacheMisses,
+		Solves:             em.Solves,
+		SingleflightShared: em.FlightShared,
+		Errors:             s.errorCount.Load(),
+		CacheEntries:       em.CacheEntries,
+		QueueDepth:         em.QueueDepth,
+		InFlightSolves:     em.InFlight,
+		SolvesByKind:       em.SolvesByKind,
+		RejectedByKind:     em.RejectedByKind,
 	}
 }
 
@@ -664,11 +652,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"crowdpricing_campaign_quotes_total", "counter", "Prices quoted from live campaigns.", m.CampaignQuotes},
 		{"crowdpricing_campaign_replans_total", "counter", "Adaptive policy switches across all campaigns.", m.CampaignReplans},
 		{"crowdpricing_campaigns_expired_total", "counter", "Campaigns expired by the idle TTL sweeper.", m.CampaignsExpired},
-		{"crowdpricing_quoter_interned", "gauge", "Distinct policy tables in the campaign quoter intern table.", m.QuoterInterned},
-		{"crowdpricing_quoter_resident_bytes", "gauge", "Decoded policy-table bytes currently resident across interned quoters.", m.QuoterResidentBytes},
-		{"crowdpricing_quoter_intern_hits_total", "counter", "Campaign policy lookups served by an already-interned table.", m.QuoterInternHits},
-		{"crowdpricing_quoter_intern_misses_total", "counter", "Campaign policy lookups that interned a new table.", m.QuoterInternMisses},
-		{"crowdpricing_quoter_redecodes_total", "counter", "Policy tables re-decoded after the memory budget evicted them.", m.QuoterRedecodes},
+		{"crowdpricing_quoter_interned", "gauge", "Distinct solved policies held by live campaigns.", m.QuoterInterned},
+		{"crowdpricing_quoter_intern_hits_total", "counter", "Campaign policy lookups served by an already-live policy.", m.QuoterInternHits},
+		{"crowdpricing_quoter_intern_misses_total", "counter", "Campaign policy lookups that published a newly solved policy.", m.QuoterInternMisses},
 	} {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %d\n",
 			row.name, row.help, row.name, row.typ, row.name, row.value)

@@ -46,11 +46,11 @@ const (
 	// StageSolve is time on an engine worker (or waiting on the joined
 	// in-flight solve of an identical request).
 	StageSolve
-	// StageQuoterDecode is building a campaign quoter view over the
-	// engine's solved artifact in the intern layer — the first build or a
-	// rebuild after a budget eviction. The view shares the artifact's price
-	// table, so this is a type switch and a small allocation; the name is
-	// kept from when the step parsed the artifact's JSON.
+	// StageQuoterDecode is the campaign intern layer's publish step after
+	// an intern miss: checking that the engine's solved artifact is a
+	// quoter and inserting it into the live set. Nothing is parsed or
+	// copied; the name is kept from when the step parsed the artifact's
+	// JSON.
 	StageQuoterDecode
 	// StageLockHold is the per-campaign mutex: acquisition wait plus the
 	// O(1) critical section of an observe or quote.
